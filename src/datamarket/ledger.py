@@ -9,6 +9,7 @@ balances plus escrow plus collected fees.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
@@ -138,6 +139,9 @@ class Ledger:
         self.active_auctions: dict[frozenset[str], AuctionState] = {}
         self.settlements: dict[int, _Settlement] = {}
         self.execution_slots: dict[tuple[int, int], _ExecutionSlot] = {}
+        # Keys of slots that may still time out, in publish order.  Deadlines
+        # never decrease in publish order, so only the front can fall due.
+        self._pending_slots: deque[tuple[int, int]] = deque()
         self.blocks: list[Block] = [Block(0, self._randomness(0), 0)]
         self.events: list[dict] = []
         self.tx_log: list[dict] = [
@@ -363,6 +367,7 @@ class Ledger:
         self.execution_slots[key] = _ExecutionSlot(
             members=members, deadline=self.height + self.commit_timeout
         )
+        self._pending_slots.append(key)
         self._log("publish_execution_set", round=round, mini_round=mini_round, members=list(members))
         self._emit("execution-set", round=round, mini_round=mini_round, members=list(members))
 
@@ -402,15 +407,21 @@ class Ledger:
         for auction in self.active_auctions.values():
             if auction.auction_end == self.height:
                 self._emit("auction-closeable", tags=sorted(auction.tags))
-        for (round, mini_round), slot in self.execution_slots.items():
-            if not slot.closed and self.height >= slot.deadline:
+        pending = self._pending_slots
+        while pending:
+            slot = self.execution_slots[pending[0]]
+            if not slot.closed:
+                if self.height < slot.deadline:
+                    break
                 slot.closed = True
+                round, mini_round = pending[0]
                 self._emit(
                     "commit-timeout",
                     round=round,
                     mini_round=mini_round,
                     commits=len(slot.commits),
                 )
+            pending.popleft()
         return self.height
 
     def beacon(self, height: int | None = None) -> bytes:

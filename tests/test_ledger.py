@@ -263,6 +263,35 @@ class TestCommitments:
         assert len(timeouts) == 1 and timeouts[0]["commits"] == 3
         assert len(ledger.commits_for(0, 1)) == 3
 
+    def test_missing_committer_times_out_once_in_publish_order(self):
+        ledger = Ledger(seed=1, commit_timeout=3)
+        for i in range(6):
+            ledger.register_node(f"n{i}")
+        ledger.publish_execution_set(0, 1, ["n0", "n1"])  # full commit
+        ledger.publish_execution_set(0, 2, ["n0", "n1", "n2"])  # n2 withholds
+        for node in ["n0", "n1"]:
+            ledger.commit_digest(node, 0, 1, derive_seed("d"))
+            ledger.commit_digest(node, 0, 2, derive_seed("d"))
+        ledger.advance_block()
+        ledger.publish_execution_set(1, 1, ["n3"])  # full commit
+        ledger.publish_execution_set(1, 2, ["n4", "n5"])  # n5 withholds
+        ledger.commit_digest("n3", 1, 1, derive_seed("d"))
+        ledger.commit_digest("n4", 1, 2, derive_seed("d"))
+        for _ in range(12):
+            ledger.advance_block()
+        timeouts = [
+            (e["height"], e["round"], e["mini_round"], e["commits"])
+            for e in ledger.events
+            if e["kind"] == "commit-timeout"
+        ]
+        assert timeouts == [(3, 0, 2, 2), (4, 1, 2, 1)]
+        done = [
+            (e["round"], e["mini_round"])
+            for e in ledger.events
+            if e["kind"] == "commit-complete"
+        ]
+        assert done == [(0, 1), (1, 1)]
+
     def test_non_member_rejected(self):
         ledger = self.fresh()
         ledger.publish_execution_set(0, 1, ["n0", "n1"])
