@@ -230,13 +230,11 @@ def run_core(
     prev_digest: bytes | None = None
     prev_state: State | None = None
     wrong_adoptions = 0
-    termination = "round-cap"
+    # Validation accuracy of the current weights: the stopping test, the
+    # round's record and the final figure all read this one evaluation.
+    val_acc = evaluate_metric(weights, splits.validation, metric)
     t = 0
-    while t < scenario.t_max:
-        val_acc = evaluate_metric(weights, splits.validation, metric)
-        if val_acc >= tau:
-            termination = "metric"
-            break
+    while t < scenario.t_max and val_acc < tau:
         round_started = time.perf_counter()
         pool.round_seed = derive_seed(root, "fed", auction_label, t)
         fed = run_federated_round(
@@ -276,13 +274,13 @@ def run_core(
             wrong_adoptions += 1
         prev_digest, prev_state = digest, state
 
-        acc_after = evaluate_metric(weights, splits.validation, metric)
+        val_acc = evaluate_metric(weights, splits.validation, metric)
         records.append(
             RoundRecord(
                 round=t,
                 mini_rounds=mini_rounds,
                 accepted_digest=digest.hex(),
-                accuracy=acc_after,
+                accuracy=val_acc,
                 probabilities=tuple(float(x) for x in p),
                 wall_time_s=time.perf_counter() - round_started,
             )
@@ -292,7 +290,7 @@ def run_core(
             round=t,
             mini_rounds=mini_rounds,
             accepted_digest=digest.hex(),
-            accuracy=acc_after,
+            accuracy=val_acc,
             probabilities=[float(x) for x in p],
             access_counts=[int(x) for x in access_counts],
             sampled=list(fed.sampled),
@@ -301,9 +299,6 @@ def run_core(
         )
         t += 1
 
-    final_val = evaluate_metric(weights, splits.validation, metric)
-    if final_val >= tau:
-        termination = "metric"
     return RunResult(
         weights=weights,
         probabilities=p,
@@ -311,9 +306,9 @@ def run_core(
         participation=participation,
         records=records,
         seller_ids=list(seller_ids),
-        final_validation_accuracy=final_val,
+        final_validation_accuracy=val_acc,
         final_test_accuracy=evaluate_metric(weights, splits.test, metric),
-        termination=termination,
+        termination="metric" if val_acc >= tau else "round-cap",
         wrong_adoptions=wrong_adoptions,
         wall_time_s=time.perf_counter() - started,
     )
