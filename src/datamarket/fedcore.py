@@ -220,8 +220,12 @@ class SellerOracle(Protocol):
     def local_delta(self, seller: int, values: np.ndarray) -> np.ndarray:
         """Parameter delta proposed by one seller for the given weights."""
 
-    def utility(self, values: np.ndarray) -> float:
-        """Scalar utility of a weight vector; lower is better."""
+    def utility(self, stack: np.ndarray) -> np.ndarray:
+        """Utility of each row of a (k, param_count) weight stack; lower is better.
+
+        A round calls this once, with the base weights in row 0 and the
+        candidates after them, so one pass can score them all.
+        """
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,7 @@ def run_federated_round(
     Deterministic in (inputs, seed); every honest executor given the same
     arguments produces a bit-identical result.  Each distinct sampled
     seller contributes one candidate, assembled in seller-index order.
+    The base weights and all candidates are scored in one oracle call.
     """
     values = np.asarray(values, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -264,14 +269,14 @@ def run_federated_round(
 
     new_counts = update_access_counts(counts, sample)
 
-    base_utility = oracle.utility(values)
+    candidates = [values + gamma * deltas[i] for i in sampled_sellers]
+    scores = oracle.utility(np.stack([values] + candidates))
     delta_utilities = {
-        i: oracle.utility(values + gamma * deltas[i]) - base_utility for i in sampled_sellers
+        i: float(scores[j + 1] - scores[0]) for j, i in enumerate(sampled_sellers)
     }
     u_hat = utility_estimates(sample, p, k, delta_utilities)
     new_p = omd_update(p, u_hat, params.learning_rate, params.floor_fraction)
 
-    candidates = [values + gamma * deltas[i] for i in sampled_sellers]
     if aggregator == "corrected-krum":
         chosen = corrected_krum_index(candidates)
         new_values = candidates[chosen]

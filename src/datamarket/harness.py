@@ -151,8 +151,8 @@ class _SellerPool:
             w, shard, epochs=train.epochs, lr=train.lr, batch=train.batch, seed=seed
         )
 
-    def utility(self, values: np.ndarray) -> float:
-        return utility(ModelWeights(values, self.spec), self.utility_set)
+    def utility(self, stack: np.ndarray) -> np.ndarray:
+        return utility(self.spec, stack, self.utility_set)
 
 
 def _aggregator_for(scenario: Scenario) -> str:

@@ -26,6 +26,10 @@ from .rng import rng_from
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
+# Cap on the stacked first-layer block (eval rows x models x width) that
+# utility() holds at once: 2**15 floats, 256 KiB.
+UTILITY_BLOCK_FLOATS = 1 << 15
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -246,12 +250,57 @@ def evaluate_metric(
     return float((predicted == eval_set.labels).mean())
 
 
-def utility(w: ModelWeights, eval_set: LabeledDataset) -> float:
-    """Mean cross-entropy loss; lower means a better model."""
+def utility(spec: ModelSpec, stack: np.ndarray, eval_set: LabeledDataset) -> np.ndarray:
+    """Mean cross-entropy loss of each row of a (k, param_count) weight stack.
+
+    Lower means a better model.  One forward-only pass scores all k models:
+    their first layers sit side by side in one (d, k * width) matrix, so each
+    block of eval rows costs one matrix product (and one tanh for the MLP),
+    followed by a batched second layer.  The loss is taken from a log-sum-exp
+    of the logits.  Rows are walked in blocks of at most
+    UTILITY_BLOCK_FLOATS // (k * width) rows, which keeps the stacked hidden
+    block small and the extra memory flat in the size of the eval set.
+    """
     if len(eval_set) == 0:
         raise EmptyEvalSet("empty evaluation set")
-    loss, _ = loss_and_grad(w, eval_set.features, eval_set.labels)
-    return float(loss)
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 2 or not len(stack) or stack.shape[1] != spec.param_count:
+        raise DimensionMismatch(
+            f"expected a (k, {spec.param_count}) weight stack, got {stack.shape}"
+        )
+    k = len(stack)
+    d, c, h = spec.input_dim, spec.class_count, spec.hidden
+    width = h or c
+    first = stack[:, : d * width].reshape(k, d, width).transpose(1, 0, 2).reshape(d, k * width)
+    first_bias = stack[:, d * width : d * width + width].reshape(k * width)
+    if h:
+        o = d * h + h
+        second = stack[:, o : o + h * c].reshape(k, h, c)
+        second_bias = stack[:, None, o + h * c :]
+    n = len(eval_set)
+    rows = max(1, UTILITY_BLOCK_FLOATS // (k * width))
+    block = np.empty((min(rows, n), k * width))
+    total = np.zeros(k)
+    for start in range(0, n, rows):
+        x = eval_set.features[start : start + rows]
+        y = eval_set.labels[start : start + rows]
+        m = len(y)
+        z = block[:m]
+        np.matmul(x, first, out=z)
+        z += first_bias
+        per_model = z.reshape(m, k, width).transpose(1, 0, 2)
+        if h:
+            np.tanh(z, out=z)
+            logits = np.matmul(per_model, second)
+            logits += second_bias
+        else:
+            logits = per_model
+        top = logits.max(axis=2)
+        shifted = logits - top[:, :, None]
+        np.exp(shifted, out=shifted)
+        log_norm = np.log(shifted.sum(axis=2)) + top
+        total += (log_norm - logits[:, np.arange(m), y]).sum(axis=1)
+    return total / n
 
 
 def state_digest(w: ModelWeights, p: np.ndarray, counts: np.ndarray) -> bytes:

@@ -210,12 +210,14 @@ class _StubOracle:
 
     def __init__(self, deltas):
         self.deltas = deltas
+        self.scored: list[np.ndarray] = []
 
     def local_delta(self, seller, values):
         return self.deltas[seller]
 
-    def utility(self, values):
-        return float(np.linalg.norm(values))
+    def utility(self, stack):
+        self.scored.append(np.array(stack))
+        return np.linalg.norm(stack, axis=1)
 
 
 class TestFederatedRound:
@@ -295,6 +297,23 @@ class TestFederatedRound:
             _StubOracle(deltas),
         )
         assert list(out.candidate_sellers) == sorted(set(out.sampled))
+
+    def test_scores_base_and_candidates_in_one_call(self):
+        deltas = {i: np.full(2, float(i)) for i in range(5)}
+        oracle = _StubOracle(deltas)
+        values = np.array([0.5, -1.0])
+        out = run_federated_round(
+            values,
+            np.full(5, 0.2),
+            np.zeros(5, dtype=np.int64),
+            self.PARAMS,
+            0,
+            derive_seed("once"),
+            oracle,
+        )
+        assert len(oracle.scored) == 1
+        expected = np.stack([values] + [values + deltas[i] for i in out.candidate_sellers])
+        assert np.array_equal(oracle.scored[0], expected)
 
     def test_step_size_schedule_clamps(self):
         params = OsmdParams(batch_size=2, learning_rate=0.5, step_sizes=(1.0, 0.5), floor_fraction=0.0)

@@ -15,6 +15,7 @@ from datamarket.errors import (
 )
 from datamarket.rng import derive_seed, rng_from
 from datamarket.training import (
+    UTILITY_BLOCK_FLOATS,
     LabeledDataset,
     MetricSpec,
     ModelSpec,
@@ -100,7 +101,8 @@ class TestLocalUpdate:
         data = small_dataset(rows=200)
         w = init_weights(ModelSpec(5, 3), derive_seed("d"))
         delta = local_update(w, data, epochs=3, lr=0.05, batch=32, seed=derive_seed("d"))
-        assert utility(w.with_values(w.values + delta), data) < utility(w, data)
+        after, before = utility(w.spec, np.stack([w.values + delta, w.values]), data)
+        assert after < before
 
 
 class TestEvaluateMetric:
@@ -149,14 +151,14 @@ class TestUtility:
     def test_uniform_model_gives_log_classes(self):
         data = small_dataset(classes=3)
         w = init_weights(ModelSpec(5, 3), derive_seed("u"))  # zeros -> uniform softmax
-        assert utility(w, data) == pytest.approx(np.log(3), rel=1e-12)
+        assert utility(w.spec, w.values[None], data)[0] == pytest.approx(np.log(3), rel=1e-12)
 
     def test_gradient_step_reduces_loss(self):
         data = small_dataset(rows=150)
         w = init_weights(ModelSpec(5, 3), derive_seed("g"))
         _, grad = loss_and_grad(w, data.features, data.labels)
-        stepped = w.with_values(w.values - 0.1 * grad)
-        assert utility(stepped, data) < utility(w, data)
+        stepped, base = utility(w.spec, np.stack([w.values - 0.1 * grad, w.values]), data)
+        assert stepped < base
 
     def test_non_negative(self):
         rng = rng_from(derive_seed("nn"))
@@ -164,7 +166,40 @@ class TestUtility:
         spec = ModelSpec(5, 3)
         for _ in range(20):
             w = ModelWeights(rng.normal(scale=3.0, size=spec.param_count), spec)
-            assert utility(w, data) >= 0.0
+            assert utility(spec, w.values[None], data)[0] >= 0.0
+
+    @pytest.mark.parametrize("hidden", [0, 7])
+    @pytest.mark.parametrize("models", [1, 5])
+    def test_rows_match_single_model_loss(self, hidden, models):
+        spec = ModelSpec(5, 3, hidden=hidden)
+        block = UTILITY_BLOCK_FLOATS // (models * (hidden or 3))
+        data = small_dataset(seed=hidden, rows=2 * block + block // 3 + 1)
+        rng = rng_from(derive_seed("stack", hidden, models))
+        stack = rng.normal(scale=0.5, size=(models, spec.param_count))
+        scores = utility(spec, stack, data)
+        assert scores.shape == (models,)
+        for row, score in zip(stack, scores):
+            expected, _ = loss_and_grad(ModelWeights(row, spec), data.features, data.labels)
+            assert score == pytest.approx(expected, rel=1e-12)
+
+    def test_repeated_calls_bit_identical(self):
+        spec = ModelSpec(5, 3, hidden=6)
+        data = small_dataset(rows=500)
+        stack = rng_from(derive_seed("rep")).normal(size=(4, spec.param_count))
+        assert np.array_equal(utility(spec, stack, data), utility(spec, stack, data))
+
+    def test_empty_eval_set(self):
+        empty = LabeledDataset(np.empty((0, 5)), np.empty(0, dtype=int), 3)
+        spec = ModelSpec(5, 3)
+        with pytest.raises(EmptyEvalSet):
+            utility(spec, np.zeros((2, spec.param_count)), empty)
+
+    def test_stack_width_checked(self):
+        spec = ModelSpec(5, 3)
+        with pytest.raises(DimensionMismatch):
+            utility(spec, np.zeros((2, spec.param_count + 1)), small_dataset())
+        with pytest.raises(DimensionMismatch):
+            utility(spec, np.zeros((0, spec.param_count)), small_dataset())
 
 
 class TestStateDigest:
