@@ -29,7 +29,6 @@ class AdversarySpec:
     seller_strategy: str = "scaled-gradient"
     seed: bytes = b"\x00" * 32
     scale_factor: float = 1.0
-    update_norm: float | None = None
     poison_strength: float = 3.0
 
     def __post_init__(self):
@@ -73,6 +72,30 @@ class RoundContext:
     colluding_digest: bytes | None = None
 
 
+# Label of the per-node digest a strategy falls back to without a shared one.
+_FALLBACK_LABELS = {
+    "random-digest": "random-digest",
+    "stale-digest": "stale-fallback",
+    "colluding-common-digest": "colluding",
+}
+
+
+def shared_forgery(strategy: str, ctx: RoundContext) -> bytes | None:
+    """Digest every Byzantine node commits this round, or None if it is per node.
+
+    stale-digest shares the previous round's accepted digest and
+    colluding-common-digest the context's colluding digest, each when the
+    context holds one; random-digest never shares.
+    """
+    if strategy not in NODE_STRATEGIES:
+        raise ValueError(f"unknown node strategy {strategy!r}")
+    if strategy == "stale-digest":
+        return ctx.prev_digest
+    if strategy == "colluding-common-digest":
+        return ctx.colluding_digest
+    return None
+
+
 def byzantine_node_digest(
     strategy: str,
     honest_digest: bytes,
@@ -81,21 +104,15 @@ def byzantine_node_digest(
 ) -> bytes:
     """Digest a Byzantine node commits instead of the honest one.
 
-    random-digest: fresh hash per (seed); stale-digest: previous round's
-    accepted digest, falling back to random when there is none;
-    colluding-common-digest: the shared wrong digest from the context.
+    The shared forgery when there is one (see shared_forgery); otherwise a
+    fresh hash of the node's seed: random-digest always, stale-digest
+    without a previous round, colluding-common-digest without a context
+    digest.
     """
-    if strategy == "random-digest":
-        return derive_seed(seed, "random-digest")
-    if strategy == "stale-digest":
-        if ctx.prev_digest is not None:
-            return ctx.prev_digest
-        return derive_seed(seed, "stale-fallback")
-    if strategy == "colluding-common-digest":
-        if ctx.colluding_digest is not None:
-            return ctx.colluding_digest
-        return derive_seed(seed, "colluding")
-    raise ValueError(f"unknown node strategy {strategy!r}")
+    shared = shared_forgery(strategy, ctx)
+    if shared is not None:
+        return shared
+    return derive_seed(seed, _FALLBACK_LABELS[strategy])
 
 
 def poisoned_state(

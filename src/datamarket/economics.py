@@ -9,8 +9,9 @@ sellers, for compute nodes, and for both at once.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import EmptyContributors
@@ -35,19 +36,30 @@ class RevenueReport:
         return merged
 
 
+def _integer_ratio(weight: float) -> tuple[int, int]:
+    """Exact (numerator, denominator) of an integer or real weight."""
+    try:
+        return operator.index(weight), 1
+    except TypeError:
+        return weight.as_integer_ratio()
+
+
 def _proportional_split(total: int, weights: Mapping[str, float]) -> dict[str, int]:
     """Floor-divide total by weight; the remainder goes to the lowest id.
 
-    Rational arithmetic keeps the floors exact even for float weights, so
-    the shares always sum to the total.
+    Each weight becomes an exact integer ratio over one common denominator,
+    so the floors are exact even for float weights and the shares always
+    sum to the total.
     """
     if not weights or all(w == 0 for w in weights.values()):
         raise EmptyContributors("no positive weights to split over")
     if any(w < 0 for w in weights.values()):
         raise ValueError("weights must be non-negative")
-    exact = {key: Fraction(w) for key, w in weights.items()}
-    scale = sum(exact.values())
-    shares = {key: int(total * w / scale) for key, w in exact.items()}
+    ratios = [_integer_ratio(w) for w in weights.values()]
+    common = math.lcm(*(den for _, den in ratios))
+    scaled = [num * (common // den) for num, den in ratios]
+    scale = sum(scaled)
+    shares = {key: total * n // scale for key, n in zip(weights, scaled)}
     shares[min(shares)] += total - sum(shares.values())
     return shares
 

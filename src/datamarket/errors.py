@@ -19,10 +19,6 @@ class NotBuyer(MarketError):
     pass
 
 
-class AuctionAlreadyActive(MarketError):
-    pass
-
-
 class NoActiveAuction(MarketError):
     pass
 

@@ -281,7 +281,7 @@ def run_core(
                 mini_rounds=mini_rounds,
                 accepted_digest=digest.hex(),
                 accuracy=val_acc,
-                probabilities=tuple(float(x) for x in p),
+                probabilities=tuple(p.tolist()),
                 wall_time_s=time.perf_counter() - round_started,
             )
         )
@@ -291,8 +291,8 @@ def run_core(
             mini_rounds=mini_rounds,
             accepted_digest=digest.hex(),
             accuracy=val_acc,
-            probabilities=[float(x) for x in p],
-            access_counts=[int(x) for x in access_counts],
+            probabilities=p.tolist(),
+            access_counts=access_counts.tolist(),
             sampled=list(fed.sampled),
             chosen_seller=fed.chosen_seller,
             honest_adopted=digest == honest_digest,
@@ -365,6 +365,7 @@ def _consensus_round(
         ctx = adv.RoundContext(prev_digest=prev_digest, colluding_digest=colluding_digest)
     if prev_digest is not None and prev_state is not None:
         reveals[prev_digest] = prev_state
+    shared = adv.shared_forgery(strategy, ctx)
 
     counts_by_round: list[Counter] = []
     sizes: list[int] = []
@@ -376,21 +377,23 @@ def _consensus_round(
         es_seed = derive_seed(root, "sortition", auction_label, ledger.beacon(), t, i)
         es = sortition(es_seed, node_ids, size, round=t, mini_round=i)
         ledger.publish_execution_set(t, i, es.members)
-        counter: Counter = Counter()
+        commits: list[tuple[str, bytes]] = []
         for node in es.members:
             participation[node] += 1
-            if node in byz_nodes:
+            if node not in byz_nodes:
+                digest = honest_digest
+            elif shared is not None:
+                digest = shared
+            else:
                 digest = adv.byzantine_node_digest(
                     strategy,
                     honest_digest,
                     ctx,
                     derive_seed(root, "byz-digest", auction_label, t, i, node),
                 )
-            else:
-                digest = honest_digest
-            ledger.commit_digest(node, t, i, digest)
-            counter[digest] += 1
-        counts_by_round.append(counter)
+            commits.append((node, digest))
+        ledger.commit_digests(t, i, commits)
+        counts_by_round.append(Counter(digest for _, digest in commits))
         sizes.append(size)
         table = likelihood_scores(counts_by_round, sizes)
         if disqualified:

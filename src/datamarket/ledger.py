@@ -12,7 +12,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from itertools import groupby
+from typing import Iterable, Mapping, Sequence
 
 from .consensus import CommitRecord
 from .errors import (
@@ -48,7 +49,6 @@ class DataRequest:
 
     tags: frozenset[str]
     amount: int
-    model_spec: object | None = None
     metric_id: str = "accuracy"
     threshold: float = 0.95
 
@@ -107,6 +107,7 @@ class Block:
 @dataclass
 class _ExecutionSlot:
     members: tuple[str, ...]
+    member_set: frozenset[str]
     deadline: int
     commits: dict[str, CommitRecord] = field(default_factory=dict)
     closed: bool = False
@@ -365,22 +366,42 @@ class Ledger:
             raise ValueError(f"execution set for {key} already published")
         members = tuple(members)
         self.execution_slots[key] = _ExecutionSlot(
-            members=members, deadline=self.height + self.commit_timeout
+            members=members,
+            member_set=frozenset(members),
+            deadline=self.height + self.commit_timeout,
         )
         self._pending_slots.append(key)
         self._log("publish_execution_set", round=round, mini_round=mini_round, members=list(members))
         self._emit("execution-set", round=round, mini_round=mini_round, members=list(members))
 
-    def commit_digest(self, node: str, round: int, mini_round: int, digest: bytes) -> bool:
+    def commit_digest(self, node: str, round: int, mini_round: int, digest: bytes) -> None:
+        """Record one node's commit; see commit_digests."""
+        self.commit_digests(round, mini_round, [(node, digest)])
+
+    def commit_digests(
+        self, round: int, mini_round: int, commits: Sequence[tuple[str, bytes]]
+    ) -> None:
+        """Record (node, digest) commits for one execution slot, in order.
+
+        The whole batch is validated first: every node must be a member
+        that has not committed yet and appears once in the batch.
+        """
         slot = self.execution_slots.get((round, mini_round))
-        if slot is None or node not in slot.members:
-            raise NotInExecutionSet(f"{node!r} not in execution set ({round}, {mini_round})")
-        if node in slot.commits:
-            raise DoubleCommit(f"{node!r} already committed for ({round}, {mini_round})")
-        slot.commits[node] = CommitRecord(mini_round=mini_round, digest=digest, node=node)
-        self._log(
-            "commit_digest", node=node, round=round, mini_round=mini_round, digest=digest.hex()
-        )
+        if slot is None:
+            raise NotInExecutionSet(f"no execution set ({round}, {mini_round})")
+        batch: set[str] = set()
+        for node, _ in commits:
+            if node not in slot.member_set:
+                raise NotInExecutionSet(f"{node!r} not in execution set ({round}, {mini_round})")
+            if node in slot.commits or node in batch:
+                raise DoubleCommit(f"{node!r} already committed for ({round}, {mini_round})")
+            batch.add(node)
+        hexed = {digest: digest.hex() for digest in {digest for _, digest in commits}}
+        for node, digest in commits:
+            slot.commits[node] = CommitRecord(mini_round=mini_round, digest=digest, node=node)
+            self._log(
+                "commit_digest", node=node, round=round, mini_round=mini_round, digest=hexed[digest]
+            )
         if len(slot.commits) == len(slot.members) and not slot.closed:
             slot.closed = True
             self._emit(
@@ -389,7 +410,6 @@ class Ledger:
                 mini_round=mini_round,
                 commits=len(slot.commits),
             )
-        return True
 
     def commits_for(self, round: int, mini_round: int) -> list[CommitRecord]:
         slot = self.execution_slots.get((round, mini_round))
@@ -489,39 +509,44 @@ class Ledger:
             commit_timeout=genesis["commit_timeout"],
             tx_fee=genesis["tx_fee"],
         )
-        for entry in lines[1:]:
-            op = entry["op"]
-            if op == "register_user":
-                ledger.register_user(entry["user_id"], entry["is_buyer"])
-            elif op == "register_node":
-                ledger.register_node(entry["node_id"])
-            elif op == "mint":
-                ledger.mint(entry["account_id"], entry["amount"])
-            elif op == "register_dataset":
-                ledger.register_dataset(entry["seller"], entry["tags"], entry["size"])
-            elif op == "start_auction":
-                ledger.start_auction(DataRequest.from_dict(entry["request"]), entry["caller"])
-            elif op == "place_bid":
-                ledger.place_bid(DataRequest.from_dict(entry["request"]), entry["caller"])
-            elif op == "close_auction":
-                ledger.close_auction(entry["tags"])
-            elif op == "payout_escrow":
-                ledger.payout_escrow(entry["settlement_id"], entry["transfers"])
-            elif op == "refund_settlement":
-                ledger.refund_settlement(entry["settlement_id"])
-            elif op == "publish_execution_set":
-                ledger.publish_execution_set(
-                    entry["round"], entry["mini_round"], entry["members"]
-                )
-            elif op == "commit_digest":
-                ledger.commit_digest(
-                    entry["node"],
-                    entry["round"],
-                    entry["mini_round"],
-                    bytes.fromhex(entry["digest"]),
-                )
-            elif op == "advance_block":
-                ledger.advance_block()
-            else:
-                raise ValueError(f"unknown op {op!r} in transaction log")
+        for slot, run in groupby(lines[1:], key=_commit_slot):
+            if slot is not None:
+                commits = [(entry["node"], bytes.fromhex(entry["digest"])) for entry in run]
+                ledger.commit_digests(*slot, commits)
+                continue
+            for entry in run:
+                op = entry["op"]
+                if op == "register_user":
+                    ledger.register_user(entry["user_id"], entry["is_buyer"])
+                elif op == "register_node":
+                    ledger.register_node(entry["node_id"])
+                elif op == "mint":
+                    ledger.mint(entry["account_id"], entry["amount"])
+                elif op == "register_dataset":
+                    ledger.register_dataset(entry["seller"], entry["tags"], entry["size"])
+                elif op == "start_auction":
+                    ledger.start_auction(DataRequest.from_dict(entry["request"]), entry["caller"])
+                elif op == "place_bid":
+                    ledger.place_bid(DataRequest.from_dict(entry["request"]), entry["caller"])
+                elif op == "close_auction":
+                    ledger.close_auction(entry["tags"])
+                elif op == "payout_escrow":
+                    ledger.payout_escrow(entry["settlement_id"], entry["transfers"])
+                elif op == "refund_settlement":
+                    ledger.refund_settlement(entry["settlement_id"])
+                elif op == "publish_execution_set":
+                    ledger.publish_execution_set(
+                        entry["round"], entry["mini_round"], entry["members"]
+                    )
+                elif op == "advance_block":
+                    ledger.advance_block()
+                else:
+                    raise ValueError(f"unknown op {op!r} in transaction log")
         return ledger
+
+
+def _commit_slot(entry: dict) -> tuple[int, int] | None:
+    """Slot of a commit_digest entry, so replay can group consecutive commits."""
+    if entry["op"] == "commit_digest":
+        return entry["round"], entry["mini_round"]
+    return None

@@ -179,26 +179,32 @@ def predict_logits(w: ModelWeights, features: np.ndarray) -> np.ndarray:
     return np.tanh(features @ w1 + b1) @ w2 + b2
 
 
-def loss_and_grad(w: ModelWeights, features: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy loss and its gradient as a flat vector."""
-    n = len(labels)
-    probs_err = None
+def _forward(w: ModelWeights, features: np.ndarray):
+    """Class probabilities and, for the MLP, the hidden activations."""
     if w.spec.hidden == 0:
         mat, bias = _unpack(w)
-        probs = _softmax(features @ mat + bias)
-        loss = -np.log(probs[np.arange(n), labels] + 1e-300).mean()
-        probs[np.arange(n), labels] -= 1.0
-        probs_err = probs / n
-        grad = np.concatenate([(features.T @ probs_err).ravel(), probs_err.sum(axis=0)])
-        return loss, grad
+        return _softmax(features @ mat + bias), None
     w1, b1, w2, b2 = _unpack(w)
     hidden = np.tanh(features @ w1 + b1)
-    probs = _softmax(hidden @ w2 + b2)
-    loss = -np.log(probs[np.arange(n), labels] + 1e-300).mean()
+    return _softmax(hidden @ w2 + b2), hidden
+
+
+def _backward(
+    w: ModelWeights,
+    features: np.ndarray,
+    labels: np.ndarray,
+    probs: np.ndarray,
+    hidden: np.ndarray | None,
+) -> np.ndarray:
+    """Flat gradient of the mean cross-entropy; overwrites probs."""
+    n = len(labels)
     probs[np.arange(n), labels] -= 1.0
     probs_err = probs / n
+    if hidden is None:
+        return np.concatenate([(features.T @ probs_err).ravel(), probs_err.sum(axis=0)])
+    w2 = _unpack(w)[2]
     d_hidden = (probs_err @ w2.T) * (1.0 - hidden**2)
-    grad = np.concatenate(
+    return np.concatenate(
         [
             (features.T @ d_hidden).ravel(),
             d_hidden.sum(axis=0),
@@ -206,7 +212,18 @@ def loss_and_grad(w: ModelWeights, features: np.ndarray, labels: np.ndarray):
             probs_err.sum(axis=0),
         ]
     )
-    return loss, grad
+
+
+def gradient(w: ModelWeights, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean cross-entropy loss as a flat vector."""
+    return _backward(w, features, labels, *_forward(w, features))
+
+
+def loss_and_grad(w: ModelWeights, features: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy loss and its gradient as a flat vector."""
+    probs, hidden = _forward(w, features)
+    loss = -np.log(probs[np.arange(len(labels)), labels] + 1e-300).mean()
+    return loss, _backward(w, features, labels, probs, hidden)
 
 
 def local_update(
@@ -230,10 +247,9 @@ def local_update(
         order = rng.permutation(len(shard))
         for start in range(0, len(order), batch):
             rows = order[start : start + batch]
-            _, grad = loss_and_grad(
+            local -= lr * gradient(
                 w.with_values(local), shard.features[rows], shard.labels[rows]
             )
-            local -= lr * grad
     return local - w.values
 
 

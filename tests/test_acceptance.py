@@ -406,11 +406,11 @@ class TestCriterion12:
     def test_scalability_shape(self):
         started = time.perf_counter()
         sellers = [50, 100, 150, 200]
-        # Each seller count is timed as the fastest of three runs, taken in
+        # Each seller count is timed as the fastest of five runs, taken in
         # interleaved passes so that a slow spell on a busy host slows one
         # run of every count instead of all runs of one count.
         times = [float("inf")] * len(sellers)
-        for _ in range(3):
+        for _ in range(5):
             for j, n in enumerate(sellers):
                 result = run_core(scaling_scenario(n))
                 assert len(result.records) == 20

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from datamarket.adversary import (
+    NODE_STRATEGIES,
     AdversarySpec,
     RoundContext,
     assign_roles,
     byzantine_node_digest,
     malicious_seller_update,
     poisoned_state,
+    shared_forgery,
 )
 from datamarket.errors import EmptyShard
 from datamarket.rng import derive_seed, rng_from
@@ -87,6 +89,37 @@ class TestNodeDigests:
     def test_stale_without_history_falls_back_to_random(self):
         out = byzantine_node_digest("stale-digest", self.HONEST, RoundContext(), derive_seed("y"))
         assert out != self.HONEST and len(out) == 32
+
+
+class TestSharedForgery:
+    HONEST = derive_seed("honest-digest")
+
+    @pytest.mark.parametrize("strategy", NODE_STRATEGIES)
+    @pytest.mark.parametrize("prev", [None, derive_seed("prev")])
+    @pytest.mark.parametrize("colluding", [None, derive_seed("colluding")])
+    def test_agrees_with_node_digest(self, strategy, prev, colluding):
+        ctx = RoundContext(prev_digest=prev, colluding_digest=colluding)
+        shared = shared_forgery(strategy, ctx)
+        digests = [
+            byzantine_node_digest(strategy, self.HONEST, ctx, derive_seed("node", i))
+            for i in range(5)
+        ]
+        if shared is not None:
+            assert digests == [shared] * 5
+        else:
+            assert len(set(digests)) == 5 and self.HONEST not in digests
+        expected = {
+            "random-digest": None,
+            "stale-digest": prev,
+            "colluding-common-digest": colluding,
+        }[strategy]
+        assert shared == expected
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError):
+            shared_forgery("withhold", RoundContext())
+        with pytest.raises(ValueError):
+            byzantine_node_digest("withhold", self.HONEST, RoundContext(), derive_seed("z"))
 
 
 class TestPoisonedState:

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from datamarket.consensus import execution_set_size, total_executions
 from datamarket.economics import (
     PayoffParams,
+    _proportional_split,
     analyze_payoffs,
     distribute_revenue,
     empirical_catch_prob,
@@ -82,6 +85,71 @@ class TestDistributeRevenue:
             assert sum(report.transfers.values()) == bid
             assert report.node_share == int(Fraction(30, 100) * bid)
             assert all(v >= 0 for v in report.transfers.values())
+
+
+def fraction_split(total: int, weights: dict) -> dict:
+    """Reference split: exact rationals per weight, floor, remainder to lowest id.
+
+    Numpy scalars enter as their Python values: a Fraction built from a
+    numpy integer keeps it as its numerator, and that arithmetic wraps at
+    64 bits.
+    """
+    if not weights or all(w == 0 for w in weights.values()):
+        raise EmptyContributors("no positive weights to split over")
+    if any(w < 0 for w in weights.values()):
+        raise ValueError("weights must be non-negative")
+    exact = {
+        key: Fraction(w.item() if isinstance(w, np.generic) else w)
+        for key, w in weights.items()
+    }
+    scale = sum(exact.values())
+    shares = {key: int(total * w / scale) for key, w in exact.items()}
+    shares[min(shares)] += total - sum(shares.values())
+    return shares
+
+
+# Integers reach past 2**53, where a float no longer holds them exactly.
+WEIGHTS = st.one_of(
+    st.integers(0, 10**30),
+    st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**62).map(np.int64),
+    st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False).map(np.float64),
+    st.just(0),
+    st.just(0.0),
+)
+
+
+class TestProportionalSplit:
+    @given(
+        st.integers(1, 10**15),
+        st.dictionaries(st.text("abcdefgh", min_size=1, max_size=3), WEIGHTS, min_size=1, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, total, weights):
+        assume(any(w > 0 for w in weights.values()))
+        shares = _proportional_split(total, weights)
+        assert shares == fraction_split(total, weights)
+        assert all(type(v) is int for v in shares.values())
+
+    def test_four_thousand_payees(self):
+        rng = rng_from(derive_seed("payees"))
+        ints = {f"n{i:04d}": int(rng.integers(0, 40)) for i in range(2000)}
+        floats = {f"s{i:04d}": float(rng.uniform(0, 9)) for i in range(2000)}
+        wide = {f"w{i:04d}": np.int64(2**60 + i) for i in range(4000)}
+        for weights in (ints, floats, {**ints, **floats}, wide):
+            for total in (3, 300_000, 10**18 + 7):
+                assert _proportional_split(total, weights) == fraction_split(total, weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [{}, {"a": 0}, {"a": 0.0, "b": np.int64(0)}, {"a": 1, "b": -1}, {"a": np.float64(-0.5)},
+         {"a": float("nan")}, {"a": float("inf")}],
+    )
+    def test_errors_match_reference(self, weights):
+        with pytest.raises(Exception) as expected:
+            fraction_split(100, weights)
+        with pytest.raises(expected.type):
+            _proportional_split(100, weights)
 
 
 class TestPayoffs:

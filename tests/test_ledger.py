@@ -308,6 +308,93 @@ class TestCommitments:
             ledger.commit_digest("n0", 0, 1, derive_seed("other"))
 
 
+class TestBatchCommits:
+    D = derive_seed("d")
+
+    def fresh(self, members=("n0", "n1", "n2", "n3")):
+        ledger = Ledger(seed=1, commit_timeout=10)
+        for i in range(6):
+            ledger.register_node(f"n{i}")
+        ledger.publish_execution_set(0, 1, list(members))
+        return ledger
+
+    @pytest.mark.parametrize(
+        "batch, error",
+        [
+            ([("n1", D), ("n5", D)], NotInExecutionSet),  # n5 is no member
+            ([("n1", D), ("n0", D)], DoubleCommit),  # n0 committed before
+            ([("n1", D), ("n2", D), ("n1", D)], DoubleCommit),  # n1 twice in the batch
+        ],
+    )
+    def test_bad_batch_changes_nothing(self, batch, error):
+        ledger = self.fresh()
+        ledger.commit_digests(0, 1, [("n0", self.D)])
+        tx_log, events = list(ledger.tx_log), list(ledger.events)
+        with pytest.raises(error):
+            ledger.commit_digests(0, 1, batch)
+        assert list(ledger.execution_slots[(0, 1)].commits) == ["n0"]
+        assert ledger.tx_log == tx_log and ledger.events == events
+
+    def test_unpublished_slot_rejected(self):
+        ledger = self.fresh()
+        with pytest.raises(NotInExecutionSet):
+            ledger.commit_digests(0, 2, [("n0", self.D)])
+        with pytest.raises(NotInExecutionSet):
+            ledger.commit_digests(0, 2, [])
+
+    def test_completion_event_once_over_two_batches(self):
+        ledger = self.fresh()
+        ledger.commit_digests(0, 1, [("n2", self.D), ("n0", derive_seed("x"))])
+        assert not [e for e in ledger.events if e["kind"] == "commit-complete"]
+        ledger.commit_digests(0, 1, [("n3", self.D), ("n1", self.D)])
+        done = [e for e in ledger.events if e["kind"] == "commit-complete"]
+        assert len(done) == 1 and done[0]["commits"] == 4
+        assert [c.node for c in ledger.commits_for(0, 1)] == ["n0", "n1", "n2", "n3"]
+        logged = [e["node"] for e in ledger.tx_log if e["op"] == "commit_digest"]
+        assert logged == ["n2", "n0", "n3", "n1"]
+
+    def test_batch_logs_like_single_commits(self):
+        batched, single = self.fresh(), self.fresh()
+        commits = [("n3", self.D), ("n0", derive_seed("x")), ("n1", self.D), ("n2", self.D)]
+        batched.commit_digests(0, 1, commits)
+        for node, digest in commits:
+            single.commit_digest(node, 0, 1, digest)
+        assert batched.tx_log_ndjson() == single.tx_log_ndjson()
+        assert batched.events == single.events
+
+    def test_replay_groups_consecutive_commits(self):
+        original = Ledger(seed=2, commit_timeout=3)
+        for i in range(6):
+            original.register_node(f"n{i}")
+        original.publish_execution_set(0, 1, ["n0", "n1", "n2"])
+        original.publish_execution_set(0, 2, ["n3", "n4", "n5"])
+        original.commit_digests(0, 1, [("n2", self.D), ("n0", self.D)])
+        original.commit_digest("n3", 0, 2, derive_seed("y"))
+        original.commit_digest("n1", 0, 1, derive_seed("y"))
+        original.commit_digests(0, 2, [("n4", self.D)])
+        original.commit_digests(0, 2, [("n5", self.D)])
+        for _ in range(4):
+            original.advance_block()
+
+        batches = []
+
+        class Recording(Ledger):
+            def commit_digests(self, round, mini_round, commits):
+                batches.append(((round, mini_round), [node for node, _ in commits]))
+                super().commit_digests(round, mini_round, commits)
+
+        replayed = Recording.replay(original.tx_log_ndjson())
+        assert replayed.snapshot_json() == original.snapshot_json()
+        assert replayed.tx_log_ndjson() == original.tx_log_ndjson()
+        assert replayed.events == original.events
+        assert batches == [
+            ((0, 1), ["n2", "n0"]),
+            ((0, 2), ["n3"]),
+            ((0, 1), ["n1"]),
+            ((0, 2), ["n4", "n5"]),
+        ]
+
+
 class TestBlocks:
     def test_height_increments(self):
         ledger = Ledger()
