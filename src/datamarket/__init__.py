@@ -11,13 +11,12 @@ from .consensus import (
     AgreementOutcome,
     CommitRecord,
     ConsensusParams,
-    ExecutionSet,
     LikelihoodTable,
     acceptance_bound,
+    agree,
     decide,
     execution_set_size,
     likelihood_scores,
-    simulate_agreement,
     sortition,
     threshold,
     total_executions,
@@ -48,7 +47,6 @@ from .fedcore import (
 )
 from .harness import (
     PipelineResult,
-    RoundRecord,
     RunResult,
     byzantine_grid,
     consensus_trials,

@@ -4,18 +4,18 @@ Off-chain executors are drawn in mini-rounds whose committee size grows
 exponentially.  Each executor commits a digest of its computed state; a
 digest is accepted once its cumulative likelihood score clears a threshold
 calibrated so that the probability of a Byzantine digest winning stays
-below a configured bound.
+below a configured bound.  :func:`agree` runs the mini-rounds for every
+caller; each caller supplies only how a committee is seated and commits.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
-from .errors import DegenerateParams, SizeExceedsPopulation
-from .rng import derive_seed, rng_from
+from .errors import DegenerateParams, NoConsensus, SizeExceedsPopulation
+from .rng import rng_from
 
 
 @dataclass(frozen=True)
@@ -52,20 +52,6 @@ class ConsensusParams:
 
 
 @dataclass(frozen=True)
-class ExecutionSet:
-    """Committee selected for one mini-round."""
-
-    round: int
-    mini_round: int
-    members: tuple[str, ...]
-    seed: bytes
-
-    def __post_init__(self):
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("execution set members must be distinct")
-
-
-@dataclass(frozen=True)
 class CommitRecord:
     """One executor's digest commitment for one mini-round."""
 
@@ -79,7 +65,6 @@ class LikelihoodTable:
     """Cumulative per-digest scores over the mini-rounds seen so far."""
 
     scores: dict[bytes, int] = field(default_factory=dict)
-    sizes: list[int] = field(default_factory=list)
 
 
 def execution_set_size(i: int, s0: int, cap: int | None = None) -> int:
@@ -102,30 +87,12 @@ def total_executions(r: int, s0: int) -> int:
     return r * (s0 - 1) + 2**r - 1
 
 
-def sortition(
-    seed: bytes,
-    nodes: Sequence[str],
-    size: int,
-    round: int = 0,
-    mini_round: int = 1,
-) -> ExecutionSet:
+def sortition(seed: bytes, nodes: Sequence[str], size: int) -> tuple[str, ...]:
     """Draw a uniform without-replacement committee, deterministic in seed."""
     if size > len(nodes):
         raise SizeExceedsPopulation(f"size {size} > population {len(nodes)}")
     order = rng_from(seed).permutation(len(nodes))[:size]
-    members = tuple(nodes[int(j)] for j in order)
-    return ExecutionSet(round=round, mini_round=mini_round, members=members, seed=seed)
-
-
-def tally_commits(records: Iterable[CommitRecord]) -> list[Counter]:
-    """Group commit records into per-mini-round digest counts."""
-    rounds: dict[int, Counter] = {}
-    for rec in records:
-        rounds.setdefault(rec.mini_round, Counter())[rec.digest] += 1
-    if not rounds:
-        return []
-    last = max(rounds)
-    return [rounds.get(i, Counter()) for i in range(1, last + 1)]
+    return tuple(nodes[int(j)] for j in order)
 
 
 def likelihood_scores(
@@ -146,7 +113,7 @@ def likelihood_scores(
         if committed > sizes[l]:
             raise ValueError(f"mini-round {l + 1} has more commits than seats")
         digests.update(counts)
-    table = LikelihoodTable(sizes=list(sizes))
+    table = LikelihoodTable()
     for k in digests:
         score = 0
         for counts, c_l in zip(counts_by_round, sizes):
@@ -212,39 +179,48 @@ class AgreementOutcome:
     wrong_accepted: bool
 
 
-def simulate_agreement(
+def agree(
     params: ConsensusParams,
-    nodes: Sequence[str],
-    byz_nodes: frozenset[str] | set[str],
-    seed: bytes,
-) -> AgreementOutcome:
-    """Run one agreement instance with colluding Byzantine committers.
+    theta: float,
+    commit: Callable[[int, int], Mapping[bytes, int]],
+    revealable: Collection[bytes] | None = None,
+    on_decision: Callable[[int, dict[bytes, int], bytes | None], None] | None = None,
+) -> tuple[bytes, int]:
+    """Run mini-rounds until a revealable digest is accepted.
 
-    Honest members commit a common honest digest, Byzantine members a
-    common wrong digest.  Mini-rounds grow until a digest clears the
-    threshold; once the committee spans the whole population, the
-    top-scoring digest is accepted after that final mini-round.
+    ``commit(i, size)`` seats the committee of mini-round ``i`` and returns
+    its digest counts.  A digest is accepted once its score clears theta;
+    once the committee spans the whole population, the top-scoring digest
+    is accepted after that mini-round.  An accepted digest outside
+    ``revealable`` (None: every digest is) is disqualified and the rounds
+    go on.  ``on_decision(i, scores, accepted)`` sees every mini-round's
+    scores and decision before anything is returned or raised.
+
+    Returns the accepted digest and the number of mini-rounds; raises
+    NoConsensus when no revealable digest is left at the population cap.
     """
-    theta = threshold(params)
-    honest = derive_seed(seed, "honest")
-    wrong = derive_seed(seed, "wrong")
-    counts: list[Counter] = []
+    counts_by_round: list[Mapping[bytes, int]] = []
     sizes: list[int] = []
+    disqualified: set[bytes] = set()
     i = 0
     while True:
         i += 1
         size = execution_set_size(i, params.base_size, cap=params.total_nodes)
-        es = sortition(derive_seed(seed, "es", i), nodes, size, mini_round=i)
-        n_wrong = sum(1 for m in es.members if m in byz_nodes)
-        counts.append(Counter({honest: size - n_wrong, wrong: n_wrong}))
+        counts_by_round.append(commit(i, size))
         sizes.append(size)
-        table = likelihood_scores(counts, sizes)
+        table = likelihood_scores(counts_by_round, sizes)
+        if disqualified:
+            table.scores = {k: v for k, v in table.scores.items() if k not in disqualified}
         accepted = decide(table, theta)
-        if accepted is None and size >= params.total_nodes:
+        exhausted = size >= params.total_nodes
+        if accepted is None and exhausted:
             accepted = best_digest(table)
+        if on_decision is not None:
+            on_decision(i, table.scores, accepted)
         if accepted is not None:
-            return AgreementOutcome(
-                accepted=accepted,
-                mini_rounds=i,
-                wrong_accepted=accepted == wrong,
-            )
+            if revealable is None or accepted in revealable:
+                return accepted, i
+            # winner has no revealable preimage (forged digest): disqualify it
+            disqualified.add(accepted)
+        if exhausted:
+            raise NoConsensus("no revealable digest available at population cap")

@@ -18,17 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary as adv
-from .consensus import (
-    AgreementOutcome,
-    ConsensusParams,
-    best_digest,
-    decide,
-    execution_set_size,
-    likelihood_scores,
-    simulate_agreement,
-    sortition,
-    threshold,
-)
+from .consensus import AgreementOutcome, ConsensusParams, agree, sortition, threshold
+# bench/tracing.py times the consensus layer through these harness names.
+from .consensus import best_digest, decide, likelihood_scores  # noqa: F401
 from .economics import (
     PayoffParams,
     PayoffReport,
@@ -63,22 +55,12 @@ State = tuple[ModelWeights, np.ndarray, np.ndarray]
 
 
 @dataclass
-class RoundRecord:
-    round: int
-    mini_rounds: int
-    accepted_digest: str
-    accuracy: float
-    probabilities: tuple[float, ...]
-    wall_time_s: float
-
-
-@dataclass
 class RunResult:
     weights: ModelWeights
     probabilities: np.ndarray
     access_counts: np.ndarray
     participation: dict[str, int]
-    records: list[RoundRecord]
+    records: list[dict]  # the payloads of the run's ``round`` events
     seller_ids: list[str]
     final_validation_accuracy: float
     final_test_accuracy: float
@@ -226,7 +208,7 @@ def run_core(
     tau = scenario.request.threshold
     metric = scenario.metric_spec()
 
-    records: list[RoundRecord] = []
+    records: list[dict] = []
     prev_digest: bytes | None = None
     prev_state: State | None = None
     wrong_adoptions = 0
@@ -235,7 +217,6 @@ def run_core(
     val_acc = evaluate_metric(weights, splits.validation, metric)
     t = 0
     while t < scenario.t_max and val_acc < tau:
-        round_started = time.perf_counter()
         pool.round_seed = derive_seed(root, "fed", auction_label, t)
         fed = run_federated_round(
             weights.values,
@@ -257,7 +238,7 @@ def run_core(
         if scenario.ablation == "no-consensus":
             accepted, mini_rounds = _single_executor_round(
                 scenario, root, auction_label, t, node_ids, byz_nodes, participation,
-                honest_state, honest_digest, prev_state, prev_digest,
+                honest_state, honest_digest, prev_state,
             )
         else:
             accepted, mini_rounds = _consensus_round(
@@ -275,18 +256,7 @@ def run_core(
         prev_digest, prev_state = digest, state
 
         val_acc = evaluate_metric(weights, splits.validation, metric)
-        records.append(
-            RoundRecord(
-                round=t,
-                mini_rounds=mini_rounds,
-                accepted_digest=digest.hex(),
-                accuracy=val_acc,
-                probabilities=tuple(p.tolist()),
-                wall_time_s=time.perf_counter() - round_started,
-            )
-        )
-        sink.emit(
-            "round",
+        record = dict(
             round=t,
             mini_rounds=mini_rounds,
             accepted_digest=digest.hex(),
@@ -297,6 +267,8 @@ def run_core(
             chosen_seller=fed.chosen_seller,
             honest_adopted=digest == honest_digest,
         )
+        records.append(record)
+        sink.emit("round", **record)
         t += 1
 
     return RunResult(
@@ -314,17 +286,10 @@ def run_core(
     )
 
 
-def _adversarial_state(
-    scenario: Scenario,
-    root: bytes,
-    auction_label: str,
-    t: int,
-    honest_state: State,
-    prev_state: State | None,
+def _poisoned_state(
+    scenario: Scenario, root: bytes, auction_label: str, t: int, honest_state: State
 ) -> State:
-    """State a Byzantine executor stands behind (no-consensus ablation)."""
-    if scenario.adversary.node_strategy == "stale-digest" and prev_state is not None:
-        return prev_state
+    """Revealable forged state Byzantine executors stand behind in round t."""
     return adv.poisoned_state(
         *honest_state,
         seed=derive_seed(root, "byz", auction_label, t),
@@ -334,15 +299,18 @@ def _adversarial_state(
 
 def _single_executor_round(
     scenario, root, auction_label, t, node_ids, byz_nodes, participation,
-    honest_state, honest_digest, prev_state, prev_digest,
+    honest_state, honest_digest, prev_state,
 ) -> tuple[tuple[State, bytes], int]:
     seed = derive_seed(root, "sortition", auction_label, t, 1)
-    executor = sortition(seed, node_ids, 1, round=t).members[0]
+    executor = sortition(seed, node_ids, 1)[0]
     participation[executor] += 1
-    if executor in byz_nodes:
-        state = _adversarial_state(scenario, root, auction_label, t, honest_state, prev_state)
-        return (state, state_digest(*state)), 1
-    return (honest_state, honest_digest), 1
+    if executor not in byz_nodes:
+        return (honest_state, honest_digest), 1
+    if scenario.adversary.node_strategy == "stale-digest" and prev_state is not None:
+        state = prev_state
+    else:
+        state = _poisoned_state(scenario, root, auction_label, t, honest_state)
+    return (state, state_digest(*state)), 1
 
 
 def _consensus_round(
@@ -350,35 +318,25 @@ def _consensus_round(
     params: ConsensusParams, theta: float, honest_state, honest_digest,
     prev_state, prev_digest, sink: MetricsSink,
 ) -> tuple[tuple[State, bytes], int]:
-    """Mini-round loop: sortition, commits, likelihood decision, reveal."""
+    """One global round's agreement: the committees commit on the ledger."""
     reveals: dict[bytes, State] = {honest_digest: honest_state}
-    ctx = adv.RoundContext(prev_digest=prev_digest)
     strategy = scenario.adversary.node_strategy
+    colluding_digest = None
     if byz_nodes and strategy == "colluding-common-digest":
-        poison = adv.poisoned_state(
-            *honest_state,
-            seed=derive_seed(root, "byz", auction_label, t),
-            strength=scenario.adversary.poison_strength,
-        )
+        poison = _poisoned_state(scenario, root, auction_label, t, honest_state)
         colluding_digest = state_digest(*poison)
         reveals[colluding_digest] = poison
-        ctx = adv.RoundContext(prev_digest=prev_digest, colluding_digest=colluding_digest)
     if prev_digest is not None and prev_state is not None:
         reveals[prev_digest] = prev_state
+    ctx = adv.RoundContext(prev_digest=prev_digest, colluding_digest=colluding_digest)
     shared = adv.shared_forgery(strategy, ctx)
 
-    counts_by_round: list[Counter] = []
-    sizes: list[int] = []
-    disqualified: set[bytes] = set()
-    i = 0
-    while True:
-        i += 1
-        size = execution_set_size(i, params.base_size, cap=params.total_nodes)
+    def commit(i: int, size: int) -> Counter:
         es_seed = derive_seed(root, "sortition", auction_label, ledger.beacon(), t, i)
-        es = sortition(es_seed, node_ids, size, round=t, mini_round=i)
-        ledger.publish_execution_set(t, i, es.members)
+        members = sortition(es_seed, node_ids, size)
+        ledger.publish_execution_set(t, i, members)
         commits: list[tuple[str, bytes]] = []
-        for node in es.members:
+        for node in members:
             participation[node] += 1
             if node not in byz_nodes:
                 digest = honest_digest
@@ -393,33 +351,20 @@ def _consensus_round(
                 )
             commits.append((node, digest))
         ledger.commit_digests(t, i, commits)
-        counts_by_round.append(Counter(digest for _, digest in commits))
-        sizes.append(size)
-        table = likelihood_scores(counts_by_round, sizes)
-        if disqualified:
-            table.scores = {
-                k: v for k, v in table.scores.items() if k not in disqualified
-            }
-        accepted = decide(table, theta)
-        exhausted = size >= params.total_nodes
-        if accepted is None and exhausted:
-            accepted = best_digest(table)
+        ledger.advance_block()
+        return Counter(digest for _, digest in commits)
+
+    def on_decision(i: int, scores: dict[bytes, int], accepted: bytes | None) -> None:
         sink.emit(
             "consensus",
             round=t,
             mini_round=i,
-            scores={k.hex(): v for k, v in sorted(table.scores.items())},
+            scores={k.hex(): v for k, v in sorted(scores.items())},
             accepted=accepted.hex() if accepted else None,
         )
-        ledger.advance_block()
-        if accepted is None:
-            continue
-        if accepted in reveals:
-            return (reveals[accepted], accepted), i
-        # winner has no revealable preimage (forged digest): disqualify it
-        disqualified.add(accepted)
-        if exhausted:
-            raise NoConsensus("no revealable digest available at population cap")
+
+    accepted, mini_rounds = agree(params, theta, commit, reveals, on_decision)
+    return (reveals[accepted], accepted), mini_rounds
 
 
 def run_auction_to_completion(
@@ -497,7 +442,7 @@ def run_auction_to_completion(
 
     params = scenario.consensus_params()
     beta = scenario.consensus.confidence_beta
-    rounds_for_analysis = max((rec.mini_rounds for rec in run.records), default=1)
+    rounds_for_analysis = max((rec["mini_rounds"] for rec in run.records), default=1)
     payoff = analyze_payoffs(
         PayoffParams(
             seller_pool=float(revenue.seller_share),
@@ -586,12 +531,27 @@ def consensus_trials(
     trials: int,
     seed: int = 0,
 ) -> list[AgreementOutcome]:
-    """Independent agreement instances against colluding committers."""
+    """Independent agreement instances against colluding committers.
+
+    Each instance runs :func:`consensus.agree` on committees drawn by
+    sortition: honest members commit a common honest digest, Byzantine
+    members a common wrong digest.
+    """
     node_ids = [f"n{i:03d}" for i in range(params.total_nodes)]
     byz_count = int(byz_fraction * params.total_nodes)
     byz = frozenset(node_ids[:byz_count])  # identities are exchangeable
     root = derive_seed("consensus-trials", seed)
-    return [
-        simulate_agreement(params, node_ids, byz, derive_seed(root, "trial", k))
-        for k in range(trials)
-    ]
+    theta = threshold(params)
+    outcomes = []
+    for k in range(trials):
+        trial = derive_seed(root, "trial", k)
+        honest, wrong = derive_seed(trial, "honest"), derive_seed(trial, "wrong")
+
+        def commit(i: int, size: int) -> Counter:
+            members = sortition(derive_seed(trial, "es", i), node_ids, size)
+            n_wrong = sum(1 for m in members if m in byz)
+            return Counter({honest: size - n_wrong, wrong: n_wrong})
+
+        accepted, mini_rounds = agree(params, theta, commit)
+        outcomes.append(AgreementOutcome(accepted, mini_rounds, accepted == wrong))
+    return outcomes

@@ -28,14 +28,21 @@ ROUND_CSV_COLUMNS = ("round", "accuracy", "mini_rounds", "byz_fraction", "ablati
 
 
 def rounds_csv(records, byz_fraction: float, ablation: str) -> str:
-    """Per-round metrics series; excludes wall-clock values on purpose so
-    re-runs with the same seed are byte-identical."""
+    """Per-round metrics series from ``round`` event payloads; excludes
+    wall-clock values on purpose so re-runs with the same seed are
+    byte-identical."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ROUND_CSV_COLUMNS)
     for rec in records:
         writer.writerow(
-            [rec.round, f"{rec.accuracy:.8f}", rec.mini_rounds, f"{byz_fraction:g}", ablation]
+            [
+                rec["round"],
+                f"{rec['accuracy']:.8f}",
+                rec["mini_rounds"],
+                f"{byz_fraction:g}",
+                ablation,
+            ]
         )
     return buf.getvalue()
 

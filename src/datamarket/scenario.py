@@ -12,8 +12,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .adversary import NODE_STRATEGIES, SELLER_STRATEGIES, AdversarySpec
-from .consensus import ConsensusParams
+from .adversary import AdversarySpec
+from .consensus import ConsensusParams, threshold
 from .fedcore import OsmdParams
 from .ledger import DataRequest
 from .rng import derive_seed
@@ -113,10 +113,12 @@ class Scenario:
             raise ValueError("need at least one seller and one node")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
-        if self.adversary.node_strategy not in NODE_STRATEGIES:
-            raise ValueError(f"unknown node strategy {self.adversary.node_strategy!r}")
-        if self.adversary.seller_strategy not in SELLER_STRATEGIES:
-            raise ValueError(f"unknown seller strategy {self.adversary.seller_strategy!r}")
+        # Build the protocol objects now so a bad value (an unknown strategy
+        # too) fails at load, not after a run has escrowed the buyer's bid.
+        threshold(self.consensus_params())
+        self.osmd_params()
+        self.adversary_spec()
+        self.data_request()
 
     # -- derived protocol objects --------------------------------------
 

@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 from datamarket.consensus import (
     ConsensusParams,
     acceptance_bound,
+    agree,
     best_digest,
     decide,
     execution_set_size,
     likelihood_scores,
-    simulate_agreement,
     sortition,
     threshold,
     total_executions,
 )
-from datamarket.errors import DegenerateParams, SizeExceedsPopulation
+from datamarket.errors import DegenerateParams, NoConsensus, SizeExceedsPopulation
+from datamarket.harness import consensus_trials
 from datamarket.rng import derive_seed
 
 
@@ -81,14 +82,14 @@ class TestSortition:
     NODES = tuple(f"n{i}" for i in range(8))
 
     def test_full_population(self):
-        es = sortition(derive_seed("full"), self.NODES, len(self.NODES))
-        assert sorted(es.members) == sorted(self.NODES)
+        members = sortition(derive_seed("full"), self.NODES, len(self.NODES))
+        assert sorted(members) == sorted(self.NODES)
 
     def test_deterministic_in_seed(self):
         seed = derive_seed("twice")
         first = sortition(seed, self.NODES, 3)
         second = sortition(seed, self.NODES, 3)
-        assert first.members == second.members
+        assert first == second
 
     def test_size_exceeds_population(self):
         with pytest.raises(SizeExceedsPopulation):
@@ -96,15 +97,15 @@ class TestSortition:
 
     def test_members_distinct(self):
         for k in range(50):
-            es = sortition(derive_seed("distinct", k), self.NODES, 5)
-            assert len(set(es.members)) == 5
+            members = sortition(derive_seed("distinct", k), self.NODES, 5)
+            assert len(set(members)) == 5
 
     def test_selection_frequency_uniform(self):
         # Monte Carlo bound: per-node frequency within 3 sigma of size/n
         trials, size = 100_000, 3
         counts = Counter()
         for k in range(trials):
-            counts.update(sortition(derive_seed("freq", k), self.NODES, size).members)
+            counts.update(sortition(derive_seed("freq", k), self.NODES, size))
         expectation = trials * size / len(self.NODES)
         sigma = math.sqrt(trials * (size / len(self.NODES)) * (1 - size / len(self.NODES)))
         for node in self.NODES:
@@ -236,14 +237,62 @@ class TestDecide:
 class TestAgreement:
     def test_honest_unanimity_first_round(self):
         params = make_params()  # base 5, theta 21.71 < 25
-        nodes = [f"n{i}" for i in range(50)]
-        out = simulate_agreement(params, nodes, frozenset(), derive_seed("live"))
-        assert out.mini_rounds == 1 and not out.wrong_accepted
+        for out in consensus_trials(params, 0.0, 20, seed=5):
+            assert out.mini_rounds == 1 and not out.wrong_accepted
 
     def test_terminates_under_max_byzantine(self):
         params = make_params()
-        nodes = [f"n{i}" for i in range(50)]
-        byz = frozenset(nodes[:15])
-        for k in range(200):
-            out = simulate_agreement(params, nodes, byz, derive_seed("sound", k))
+        for out in consensus_trials(params, 0.3, 200, seed=6):
             assert out.mini_rounds >= 1
+
+
+class TestAgree:
+    """The mini-round driver against scripted commit sources."""
+
+    PARAMS = make_params()  # sizes 5, 6, 8, 12, 20, 36, 50; theta 21.71
+
+    def setup_method(self):
+        self.sizes, self.decisions = [], []
+
+    def agree(self, counts, revealable=None):
+        def commit(i, size):
+            self.sizes.append(size)
+            return counts(i, size)
+
+        def on_decision(i, scores, accepted):
+            self.decisions.append((i, dict(scores), accepted))
+
+        return agree(self.PARAMS, threshold(self.PARAMS), commit, revealable, on_decision)
+
+    def test_forged_winner_disqualified_then_honest_accepted(self):
+        # The forgery takes the first committee (score 25 > theta) and has
+        # no preimage; the honest digest overtakes it in mini-round 3.
+        result = self.agree(
+            lambda i, size: {b"F": size} if i == 1 else {b"H": size}, revealable={b"H"}
+        )
+        assert result == (b"H", 3)
+        assert self.sizes == [5, 6, 8]
+        assert [accepted for _, _, accepted in self.decisions] == [b"F", None, b"H"]
+        assert self.decisions[1][1] == {b"H": -25 + 36}  # F is out of the table
+        assert self.decisions[2][1] == {b"H": -25 + 36 + 64}
+
+    def test_no_revealable_digest_at_cap_raises(self):
+        # Every mini-round's committee commits a fresh forgery.
+        with pytest.raises(NoConsensus):
+            self.agree(lambda i, size: {bytes([i]): size}, revealable=set())
+        assert self.sizes == [5, 6, 8, 12, 20, 36, 50]
+        assert [i for i, _, _ in self.decisions] == list(range(1, 8))
+        # A forgery clears theta whenever its committee outweighs all
+        # earlier ones (mini-rounds 1, 5, 6) and is disqualified; at the
+        # cap the top scorer goes the same way and nothing is left.
+        accepted = [d for _, _, d in self.decisions]
+        assert accepted == [b"\x01", None, None, None, b"\x05", b"\x06", b"\x07"]
+        _, last_scores, last = self.decisions[-1]
+        assert not {b"\x01", b"\x05", b"\x06"} & set(last_scores)
+        assert last == min(last_scores, key=lambda k: (-last_scores[k], k))
+
+    def test_cap_accepts_best_without_threshold(self):
+        # An even split never clears theta; at the cap the top score wins.
+        result = self.agree(lambda i, size: {b"A": size - size // 2, b"B": size // 2})
+        assert result == (b"A", 7) and self.sizes[-1] == 50
+        assert all(accepted is None for _, _, accepted in self.decisions[:-1])

@@ -10,6 +10,7 @@ import pytest
 from conftest import quick_scenario, robustness_scenario
 from datamarket.cli import main as cli_main
 from datamarket.consensus import execution_set_size, threshold
+from datamarket.errors import DegenerateParams, NoConsensus
 from datamarket.harness import (
     build_splits,
     byzantine_grid,
@@ -21,6 +22,7 @@ from datamarket.harness import (
 from datamarket.ledger import Ledger
 from datamarket.metrics import MetricsSink, agreement_csv, rounds_csv
 from datamarket.scenario import (
+    AdversaryConfig,
     DataConfig,
     RequestConfig,
     format_config,
@@ -41,7 +43,7 @@ class TestRunCore:
         result = run_core(scenario)
         assert result.termination == "metric"
         assert result.final_validation_accuracy >= 0.95
-        assert all(rec.mini_rounds == 1 for rec in result.records)
+        assert all(rec["mini_rounds"] == 1 for rec in result.records)
         assert result.wrong_adoptions == 0
 
     def test_zero_threshold_stops_immediately(self):
@@ -53,7 +55,7 @@ class TestRunCore:
 
     def test_replay_bit_identical(self, scenario):
         a, b = run_core(scenario), run_core(scenario)
-        assert [r.accepted_digest for r in a.records] == [r.accepted_digest for r in b.records]
+        assert [r["accepted_digest"] for r in a.records] == [r["accepted_digest"] for r in b.records]
         assert np.array_equal(a.weights.values, b.weights.values)
         assert np.array_equal(a.probabilities, b.probabilities)
         assert rounds_csv(a.records, 0.0, "none") == rounds_csv(b.records, 0.0, "none")
@@ -61,7 +63,7 @@ class TestRunCore:
     def test_adversarial_replay_bit_identical(self):
         scenario = robustness_scenario(5, 0.3, 0.2, t_max=4)
         a, b = run_core(scenario), run_core(scenario)
-        assert [r.accepted_digest for r in a.records] == [r.accepted_digest for r in b.records]
+        assert [r["accepted_digest"] for r in a.records] == [r["accepted_digest"] for r in b.records]
 
     def test_participation_matches_committee_seats(self, scenario):
         result = run_core(scenario)
@@ -69,7 +71,7 @@ class TestRunCore:
         expected = sum(
             execution_set_size(i, params.base_size, cap=params.total_nodes)
             for rec in result.records
-            for i in range(1, rec.mini_rounds + 1)
+            for i in range(1, rec["mini_rounds"] + 1)
         )
         assert sum(result.participation.values()) == expected
 
@@ -81,14 +83,14 @@ class TestRunCore:
         result = run_core(scenario)
         floor = scenario.osmd.floor_fraction / scenario.sellers
         for rec in result.records:
-            assert abs(sum(rec.probabilities) - 1.0) < 1e-9
-            assert min(rec.probabilities) >= floor - 1e-12
+            assert abs(sum(rec["probabilities"]) - 1.0) < 1e-9
+            assert min(rec["probabilities"]) >= floor - 1e-12
 
     def test_sink_round_events(self, scenario):
         sink = MetricsSink()
         result = run_core(scenario, sink=sink)
         rounds = [e for e in sink.events if e["event"] == "round"]
-        assert len(rounds) == len(result.records)
+        assert [{"event": "round", **rec} for rec in result.records] == rounds
         assert all("probabilities" in e and "chosen_seller" in e for e in rounds)
         consensus_events = [e for e in sink.events if e["event"] == "consensus"]
         assert consensus_events and all("scores" in e for e in consensus_events)
@@ -96,11 +98,34 @@ class TestRunCore:
         assert sink.to_jsonl() == sink.to_jsonl()
 
 
+class TestAllByzantineCommittee:
+    def test_random_digests_end_without_consensus(self):
+        scenario = quick_scenario(
+            adversary=AdversaryConfig(node_fraction=1.0, node_strategy="random-digest")
+        )
+        sink = MetricsSink()
+        with pytest.raises(NoConsensus):
+            run_core(scenario, sink=sink)
+        params = scenario.consensus_params()
+        n = params.total_nodes
+        sizes = [execution_set_size(i, params.base_size, cap=n) for i in range(1, 6)]
+        assert sizes[-1] == n == 20  # the fifth committee is everyone
+        events = sink.events
+        assert [(e["event"], e["round"], e["mini_round"]) for e in events] == [
+            ("consensus", 0, i) for i in range(1, 6)
+        ]
+        # every seat forged its own digest, so each mini-round adds its committee's digests
+        assert [len(e["scores"]) for e in events] == [sum(sizes[:i]) for i in range(1, 6)]
+        last = events[-1]
+        assert last["accepted"] in last["scores"]
+        assert last["scores"][last["accepted"]] == max(last["scores"].values())
+
+
 class TestAblations:
     def test_no_consensus_uses_single_executor(self):
         scenario = quick_scenario(ablation="no-consensus")
         result = run_core(scenario)
-        assert all(rec.mini_rounds == 1 for rec in result.records)
+        assert all(rec["mini_rounds"] == 1 for rec in result.records)
         assert sum(result.participation.values()) == len(result.records)
 
     def test_no_krum_blends(self):
@@ -114,8 +139,8 @@ class TestHiddenLayerModel:
         scenario = quick_scenario(hidden_units=8, t_max=6)
         a, b = run_core(scenario), run_core(scenario)
         assert a.weights.spec.hidden == 8
-        assert a.records and a.records[0].accepted_digest == b.records[0].accepted_digest
-        assert a.records[-1].accuracy > a.records[0].accuracy  # it does learn
+        assert a.records and a.records[0]["accepted_digest"] == b.records[0]["accepted_digest"]
+        assert a.records[-1]["accuracy"] > a.records[0]["accuracy"]  # it does learn
 
 
 class TestStaleAdversary:
@@ -128,7 +153,7 @@ class TestStaleAdversary:
         )
         result = run_core(scenario)
         # a stale win re-adopts the previous round's state; digests then repeat
-        digests = [r.accepted_digest for r in result.records]
+        digests = [r["accepted_digest"] for r in result.records]
         assert len(digests) == 6
         if result.wrong_adoptions:
             assert any(a == b for a, b in zip(digests, digests[1:]))
@@ -237,6 +262,21 @@ class TestScenarioConfig:
     def test_bad_ablation_rejected(self):
         with pytest.raises(ValueError):
             parse_config("ablation = everything-off\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "consensus.byz_fraction_max = 0",
+            "consensus.sample_fraction = 1.5",
+            "osmd.batch_size = 0",
+            "adversary.node_fraction = 2",
+        ],
+    )
+    def test_bad_protocol_value_fails_at_load(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises((ValueError, DegenerateParams)):
+            load_scenario(path)
 
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "s.cfg"
