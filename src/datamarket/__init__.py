@@ -6,12 +6,11 @@ rule, adaptive federated training with robust aggregation, configurable
 adversaries, and the revenue/incentive calculus that ties them together.
 """
 
-from .adversary import AdversarySpec, assign_roles, byzantine_node_digest, malicious_seller_update
+from .adversary import AdversaryConfig, assign_roles, byzantine_node_digest, malicious_seller_update
 from .consensus import (
     AgreementOutcome,
     CommitRecord,
     ConsensusParams,
-    LikelihoodTable,
     acceptance_bound,
     agree,
     decide,
@@ -36,7 +35,7 @@ from .economics import (
 )
 from .fedcore import (
     FederatedRoundResult,
-    OsmdParams,
+    OsmdConfig,
     corrected_krum,
     mean_aggregate,
     omd_update,
@@ -60,7 +59,6 @@ from .scenario import Scenario, load_scenario, parse_config
 from .training import (
     DatasetSplits,
     LabeledDataset,
-    MetricSpec,
     ModelSpec,
     ModelWeights,
     SynthSpec,

@@ -20,22 +20,21 @@ SELLER_STRATEGIES = ("label-flip", "random-gradient", "scaled-gradient")
 
 
 @dataclass(frozen=True)
-class AdversarySpec:
+class AdversaryConfig:
     """Which fraction of each population misbehaves, and how."""
 
-    byz_node_fraction: float = 0.0
+    node_fraction: float = 0.0
     node_strategy: str = "colluding-common-digest"
-    byz_seller_fraction: float = 0.0
+    seller_fraction: float = 0.0
     seller_strategy: str = "scaled-gradient"
-    seed: bytes = b"\x00" * 32
-    scale_factor: float = 1.0
+    scale_factor: float = -10.0
     poison_strength: float = 3.0
 
     def __post_init__(self):
-        if not 0.0 <= self.byz_node_fraction <= 1.0:
-            raise ValueError("byz_node_fraction must lie in [0, 1]")
-        if not 0.0 <= self.byz_seller_fraction <= 1.0:
-            raise ValueError("byz_seller_fraction must lie in [0, 1]")
+        if not 0.0 <= self.node_fraction <= 1.0:
+            raise ValueError("node_fraction must lie in [0, 1]")
+        if not 0.0 <= self.seller_fraction <= 1.0:
+            raise ValueError("seller_fraction must lie in [0, 1]")
         if self.node_strategy not in NODE_STRATEGIES:
             raise ValueError(f"unknown node strategy {self.node_strategy!r}")
         if self.seller_strategy not in SELLER_STRATEGIES:
@@ -50,16 +49,14 @@ def _pick(population: Sequence, count: int, seed: bytes) -> frozenset:
 
 
 def assign_roles(
-    nodes: Sequence, sellers: Sequence, spec: AdversarySpec
+    nodes: Sequence, sellers: Sequence, config: AdversaryConfig, seed: bytes
 ) -> tuple[frozenset, frozenset]:
     """Mark floor(fraction * count) identities adversarial, seeded."""
     byz_nodes = _pick(
-        nodes, int(spec.byz_node_fraction * len(nodes)), derive_seed(spec.seed, "nodes")
+        nodes, int(config.node_fraction * len(nodes)), derive_seed(seed, "nodes")
     )
     byz_sellers = _pick(
-        sellers,
-        int(spec.byz_seller_fraction * len(sellers)),
-        derive_seed(spec.seed, "sellers"),
+        sellers, int(config.seller_fraction * len(sellers)), derive_seed(seed, "sellers")
     )
     return byz_nodes, byz_sellers
 

@@ -11,7 +11,7 @@ caller; each caller supplies only how a committee is seated and commits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import DegenerateParams, NoConsensus, SizeExceedsPopulation
@@ -60,13 +60,6 @@ class CommitRecord:
     node: str
 
 
-@dataclass
-class LikelihoodTable:
-    """Cumulative per-digest scores over the mini-rounds seen so far."""
-
-    scores: dict[bytes, int] = field(default_factory=dict)
-
-
 def execution_set_size(i: int, s0: int, cap: int | None = None) -> int:
     """Committee size for mini-round ``i`` (1-based): s0 + 2^(i-1) - 1.
 
@@ -98,7 +91,7 @@ def sortition(seed: bytes, nodes: Sequence[str], size: int) -> tuple[str, ...]:
 def likelihood_scores(
     counts_by_round: Sequence[Mapping[bytes, int]],
     sizes: Sequence[int],
-) -> LikelihoodTable:
+) -> dict[bytes, int]:
     """Exact integer likelihood scores per digest.
 
     For each digest k seen in any mini-round the score is
@@ -113,13 +106,10 @@ def likelihood_scores(
         if committed > sizes[l]:
             raise ValueError(f"mini-round {l + 1} has more commits than seats")
         digests.update(counts)
-    table = LikelihoodTable()
-    for k in digests:
-        score = 0
-        for counts, c_l in zip(counts_by_round, sizes):
-            score += (2 * counts.get(k, 0) - c_l) * c_l
-        table.scores[k] = score
-    return table
+    return {
+        k: sum((2 * counts.get(k, 0) - c_l) * c_l for counts, c_l in zip(counts_by_round, sizes))
+        for k in digests
+    }
 
 
 def threshold(params: ConsensusParams) -> float:
@@ -151,23 +141,20 @@ def acceptance_bound(theta: float, params: ConsensusParams) -> float:
     return 1.0 / (1.0 + math.exp(theta * (1.0 - 2.0 * f) / scale))
 
 
-def best_digest(table: LikelihoodTable) -> bytes | None:
+def best_digest(scores: Mapping[bytes, int]) -> bytes | None:
     """Digest with the largest score; ties broken by smallest digest."""
-    if not table.scores:
+    if not scores:
         return None
-    return min(table.scores, key=lambda k: (-table.scores[k], k))
+    return min(scores, key=lambda k: (-scores[k], k))
 
 
-def decide(table: LikelihoodTable, theta: float) -> bytes | None:
+def decide(scores: Mapping[bytes, int], theta: float) -> bytes | None:
     """Accept the digest whose score strictly exceeds theta, else None.
 
     When several digests clear the threshold the one with the largest
     score wins; equal scores fall back to the smallest digest.
     """
-    crossing = {k: s for k, s in table.scores.items() if s > theta}
-    if not crossing:
-        return None
-    return min(crossing, key=lambda k: (-crossing[k], k))
+    return best_digest({k: s for k, s in scores.items() if s > theta})
 
 
 @dataclass(frozen=True)
@@ -208,15 +195,15 @@ def agree(
         size = execution_set_size(i, params.base_size, cap=params.total_nodes)
         counts_by_round.append(commit(i, size))
         sizes.append(size)
-        table = likelihood_scores(counts_by_round, sizes)
+        scores = likelihood_scores(counts_by_round, sizes)
         if disqualified:
-            table.scores = {k: v for k, v in table.scores.items() if k not in disqualified}
-        accepted = decide(table, theta)
+            scores = {k: v for k, v in scores.items() if k not in disqualified}
+        accepted = decide(scores, theta)
         exhausted = size >= params.total_nodes
         if accepted is None and exhausted:
-            accepted = best_digest(table)
+            accepted = best_digest(scores)
         if on_decision is not None:
-            on_decision(i, table.scores, accepted)
+            on_decision(i, scores, accepted)
         if accepted is not None:
             if revealable is None or accepted in revealable:
                 return accepted, i

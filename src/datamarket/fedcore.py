@@ -26,35 +26,31 @@ FEASIBILITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class OsmdParams:
+class OsmdConfig:
     """Settings for the sampling/aggregation round.
 
     batch_size: sellers sampled per round (with replacement).
     learning_rate: step of the distribution update; 0 freezes the
         distribution.
-    step_sizes: per-round scale applied to seller deltas; the last entry
-        repeats past the end of the sequence.
+    step_size: scale applied to seller deltas.
     floor_fraction: fairness floor; every seller keeps probability at
         least floor_fraction / n.
     """
 
-    batch_size: int
-    learning_rate: float
-    step_sizes: tuple[float, ...] = (1.0,)
-    floor_fraction: float = 0.0
+    batch_size: int = 10
+    learning_rate: float = 1.0
+    step_size: float = 1.0
+    floor_fraction: float = 0.5
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        if not self.step_sizes or any(g <= 0 for g in self.step_sizes):
-            raise ValueError("step_sizes must be positive")
+        if self.step_size <= 0:
+            raise ValueError("step_size must be positive")
         if not 0.0 <= self.floor_fraction <= 1.0:
             raise ValueError("floor_fraction must lie in [0, 1]")
-
-    def step_size_at(self, t: int) -> float:
-        return self.step_sizes[min(t, len(self.step_sizes) - 1)]
 
 
 def validate_distribution(p: np.ndarray, floor_fraction: float = 0.0) -> None:
@@ -238,15 +234,13 @@ class FederatedRoundResult:
     sampled: tuple[int, ...]
     candidate_sellers: tuple[int, ...]
     chosen_seller: int
-    utility_estimates: np.ndarray
 
 
 def run_federated_round(
     values: np.ndarray,
     p: np.ndarray,
     counts: np.ndarray,
-    params: OsmdParams,
-    t: int,
+    params: OsmdConfig,
     seed: bytes,
     oracle: SellerOracle,
     aggregator: str = "corrected-krum",
@@ -261,7 +255,7 @@ def run_federated_round(
     values = np.asarray(values, dtype=float)
     p = np.asarray(p, dtype=float)
     k = params.batch_size
-    gamma = params.step_size_at(t)
+    gamma = params.step_size
 
     sample = sample_sellers(p, k, derive_seed(seed, "sample"))
     sampled_sellers = sorted(int(i) for i in set(sample.tolist()))
@@ -296,5 +290,4 @@ def run_federated_round(
         sampled=tuple(int(i) for i in sample),
         candidate_sellers=tuple(sampled_sellers),
         chosen_seller=sampled_sellers[chosen] if chosen >= 0 else -1,
-        utility_estimates=u_hat,
     )

@@ -197,7 +197,7 @@ def run_core(
     params = scenario.consensus_params()
     theta = threshold(params)
     byz_nodes, byz_sellers = adv.assign_roles(
-        node_ids, list(range(n_sellers)), scenario.adversary_spec()
+        node_ids, list(range(n_sellers)), scenario.adversary, derive_seed(root, "adversary")
     )
     utility_set = (
         splits.validation.head(scenario.data.utility_eval_rows)
@@ -206,7 +206,6 @@ def run_core(
     )
     pool = _SellerPool(scenario, shards, byz_sellers, utility_set, spec)
     tau = scenario.request.threshold
-    metric = scenario.metric_spec()
 
     records: list[dict] = []
     prev_digest: bytes | None = None
@@ -214,7 +213,7 @@ def run_core(
     wrong_adoptions = 0
     # Validation accuracy of the current weights: the stopping test, the
     # round's record and the final figure all read this one evaluation.
-    val_acc = evaluate_metric(weights, splits.validation, metric)
+    val_acc = evaluate_metric(weights, splits.validation)
     t = 0
     while t < scenario.t_max and val_acc < tau:
         pool.round_seed = derive_seed(root, "fed", auction_label, t)
@@ -222,8 +221,7 @@ def run_core(
             weights.values,
             p,
             access_counts,
-            scenario.osmd_params(),
-            t,
+            scenario.osmd,
             pool.round_seed,
             pool,
             aggregator=_aggregator_for(scenario),
@@ -255,7 +253,7 @@ def run_core(
             wrong_adoptions += 1
         prev_digest, prev_state = digest, state
 
-        val_acc = evaluate_metric(weights, splits.validation, metric)
+        val_acc = evaluate_metric(weights, splits.validation)
         record = dict(
             round=t,
             mini_rounds=mini_rounds,
@@ -279,7 +277,7 @@ def run_core(
         records=records,
         seller_ids=list(seller_ids),
         final_validation_accuracy=val_acc,
-        final_test_accuracy=evaluate_metric(weights, splits.test, metric),
+        final_test_accuracy=evaluate_metric(weights, splits.test),
         termination="metric" if val_acc >= tau else "round-cap",
         wrong_adoptions=wrong_adoptions,
         wall_time_s=time.perf_counter() - started,
@@ -440,7 +438,6 @@ def run_auction_to_completion(
     revenue = distribute_revenue(won_request.amount, contribs, node_counts)
     ledger.payout_escrow(settlement, revenue.transfers)
 
-    params = scenario.consensus_params()
     beta = scenario.consensus.confidence_beta
     rounds_for_analysis = max((rec["mini_rounds"] for rec in run.records), default=1)
     payoff = analyze_payoffs(

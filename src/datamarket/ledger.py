@@ -45,7 +45,10 @@ class Account:
 
 @dataclass(frozen=True)
 class DataRequest:
-    """A buyer's bid: what data to use, how much to pay, when to stop."""
+    """A buyer's bid: what data to use, how much to pay, when to stop.
+
+    Validation accuracy ("accuracy") is the only metric the market scores.
+    """
 
     tags: frozenset[str]
     amount: int
@@ -58,6 +61,8 @@ class DataRequest:
             raise ValueError("request tags must be non-empty")
         if self.amount <= 0:
             raise ValueError("bid amount must be positive")
+        if self.metric_id != "accuracy":
+            raise ValueError(f"unknown metric {self.metric_id!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("metric threshold must lie in [0, 1]")
 
@@ -95,13 +100,6 @@ class DatasetRecord:
     seller: str
     tags: frozenset[str]
     size: int
-
-
-@dataclass(frozen=True)
-class Block:
-    height: int
-    randomness: bytes
-    tx_count: int
 
 
 @dataclass
@@ -143,7 +141,6 @@ class Ledger:
         # Keys of slots that may still time out, in publish order.  Deadlines
         # never decrease in publish order, so only the front can fall due.
         self._pending_slots: deque[tuple[int, int]] = deque()
-        self.blocks: list[Block] = [Block(0, self._randomness(0), 0)]
         self.events: list[dict] = []
         self.tx_log: list[dict] = [
             {
@@ -159,9 +156,6 @@ class Ledger:
         self._next_settlement = 0
 
     # -- internals ----------------------------------------------------
-
-    def _randomness(self, height: int) -> bytes:
-        return derive_seed(self.seed, "beacon", height)
 
     def _log(self, op: str, **params) -> None:
         self.tx_log.append({"op": op, "height": self.height, **params})
@@ -422,7 +416,6 @@ class Ledger:
     def advance_block(self) -> int:
         """Advance one block: refresh the beacon, fire due expirations."""
         self.height += 1
-        self.blocks.append(Block(self.height, self._randomness(self.height), len(self.tx_log)))
         self._log("advance_block")
         for auction in self.active_auctions.values():
             if auction.auction_end == self.height:
@@ -446,7 +439,7 @@ class Ledger:
 
     def beacon(self, height: int | None = None) -> bytes:
         """Deterministic per-block randomness used to seed sortition."""
-        return self._randomness(self.height if height is None else height)
+        return derive_seed(self.seed, "beacon", self.height if height is None else height)
 
     # -- audit surfaces ---------------------------------------------------
 

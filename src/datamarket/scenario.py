@@ -12,12 +12,12 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .adversary import AdversarySpec
+from .adversary import AdversaryConfig
 from .consensus import ConsensusParams, threshold
-from .fedcore import OsmdParams
+from .fedcore import OsmdConfig
 from .ledger import DataRequest
 from .rng import derive_seed
-from .training import MetricSpec, ModelSpec, SynthSpec
+from .training import ModelSpec, SynthSpec
 
 ABLATIONS = ("none", "no-krum", "no-consensus")
 
@@ -28,14 +28,6 @@ class ConsensusConfig:
     byz_fraction_max: float = 0.3
     confidence_beta: float = 0.01
     base_size: int = 0  # 0 derives round(sample_fraction * nodes)
-
-
-@dataclass(frozen=True)
-class OsmdConfig:
-    batch_size: int = 10
-    learning_rate: float = 1.0
-    step_size: float = 1.0
-    floor_fraction: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -58,16 +50,6 @@ class DataConfig:
     labels: str = ""
     utility_eval_rows: int = 0  # 0 = score on the full validation set
     registry_tags: tuple[str, ...] = ()  # dataset tags sellers register; () = request tags
-
-
-@dataclass(frozen=True)
-class AdversaryConfig:
-    node_fraction: float = 0.0
-    node_strategy: str = "colluding-common-digest"
-    seller_fraction: float = 0.0
-    seller_strategy: str = "scaled-gradient"
-    scale_factor: float = -10.0
-    poison_strength: float = 3.0
 
 
 @dataclass(frozen=True)
@@ -113,11 +95,10 @@ class Scenario:
             raise ValueError("need at least one seller and one node")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
-        # Build the protocol objects now so a bad value (an unknown strategy
-        # too) fails at load, not after a run has escrowed the buyer's bid.
+        # Build the derived protocol objects now so a bad value fails at
+        # load, not after a run has escrowed the buyer's bid.  The osmd and
+        # adversary sections check themselves.
         threshold(self.consensus_params())
-        self.osmd_params()
-        self.adversary_spec()
         self.data_request()
 
     # -- derived protocol objects --------------------------------------
@@ -138,25 +119,6 @@ class Scenario:
             base_size=base,
         )
 
-    def osmd_params(self) -> OsmdParams:
-        return OsmdParams(
-            batch_size=self.osmd.batch_size,
-            learning_rate=self.osmd.learning_rate,
-            step_sizes=(self.osmd.step_size,),
-            floor_fraction=self.osmd.floor_fraction,
-        )
-
-    def adversary_spec(self) -> AdversarySpec:
-        return AdversarySpec(
-            byz_node_fraction=self.adversary.node_fraction,
-            node_strategy=self.adversary.node_strategy,
-            byz_seller_fraction=self.adversary.seller_fraction,
-            seller_strategy=self.adversary.seller_strategy,
-            seed=derive_seed(self.root_seed, "adversary"),
-            scale_factor=self.adversary.scale_factor,
-            poison_strength=self.adversary.poison_strength,
-        )
-
     def synth_spec(self) -> SynthSpec:
         return SynthSpec(
             class_count=self.data.classes,
@@ -169,9 +131,6 @@ class Scenario:
         return ModelSpec(
             input_dim=input_dim, class_count=class_count, hidden=self.hidden_units
         )
-
-    def metric_spec(self) -> MetricSpec:
-        return MetricSpec(metric_id=self.request.metric, threshold=self.request.threshold)
 
     def data_request(self) -> DataRequest:
         return DataRequest(

@@ -114,16 +114,6 @@ class DatasetSplits:
 
 
 @dataclass(frozen=True)
-class MetricSpec:
-    metric_id: str = "accuracy"
-    threshold: float = 0.95
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class SynthSpec:
     """Gaussian-cluster classification task, one axis-aligned mean per class."""
 
@@ -253,15 +243,10 @@ def local_update(
     return local - w.values
 
 
-def evaluate_metric(
-    w: ModelWeights, eval_set: LabeledDataset, spec: MetricSpec | None = None
-) -> float:
+def evaluate_metric(w: ModelWeights, eval_set: LabeledDataset) -> float:
     """Fraction of rows whose argmax prediction matches the label."""
     if len(eval_set) == 0:
         raise EmptyEvalSet("empty evaluation set")
-    metric = spec.metric_id if spec is not None else "accuracy"
-    if metric != "accuracy":
-        raise ValueError(f"unknown metric {metric!r}")
     predicted = predict_logits(w, eval_set.features).argmax(axis=1)
     return float((predicted == eval_set.labels).mean())
 

@@ -5,7 +5,7 @@ import pytest
 
 from datamarket.adversary import (
     NODE_STRATEGIES,
-    AdversarySpec,
+    AdversaryConfig,
     RoundContext,
     assign_roles,
     byzantine_node_digest,
@@ -27,10 +27,7 @@ NODES = [f"n{i}" for i in range(50)]
 SELLERS = list(range(40))
 
 
-def spec_with(**overrides) -> AdversarySpec:
-    kwargs = dict(seed=derive_seed("adv"))
-    kwargs.update(overrides)
-    return AdversarySpec(**kwargs)
+SEED = derive_seed("adv")
 
 
 def shard(rows=40, dims=4, classes=2, seed="shard"):
@@ -42,23 +39,25 @@ def shard(rows=40, dims=4, classes=2, seed="shard"):
 
 class TestAssignRoles:
     def test_zero_fraction_empty(self):
-        nodes, sellers = assign_roles(NODES, SELLERS, spec_with())
+        nodes, sellers = assign_roles(NODES, SELLERS, AdversaryConfig(), SEED)
         assert nodes == frozenset() and sellers == frozenset()
 
     def test_floor_of_fraction(self):
         nodes, sellers = assign_roles(
-            NODES, SELLERS, spec_with(byz_node_fraction=0.3, byz_seller_fraction=0.33)
+            NODES, SELLERS, AdversaryConfig(node_fraction=0.3, seller_fraction=0.33), SEED
         )
         assert len(nodes) == 15  # 30% of 50
         assert len(sellers) == 13  # floor(0.33 * 40)
 
     def test_deterministic_in_seed(self):
-        spec = spec_with(byz_node_fraction=0.2, byz_seller_fraction=0.5)
-        assert assign_roles(NODES, SELLERS, spec) == assign_roles(NODES, SELLERS, spec)
+        config = AdversaryConfig(node_fraction=0.2, seller_fraction=0.5)
+        assert assign_roles(NODES, SELLERS, config, SEED) == assign_roles(
+            NODES, SELLERS, config, SEED
+        )
 
     def test_members_come_from_population(self):
         nodes, sellers = assign_roles(
-            NODES, SELLERS, spec_with(byz_node_fraction=1.0, byz_seller_fraction=1.0)
+            NODES, SELLERS, AdversaryConfig(node_fraction=1.0, seller_fraction=1.0), SEED
         )
         assert nodes == frozenset(NODES) and sellers == frozenset(SELLERS)
 
@@ -189,11 +188,11 @@ class TestSellerStrategies:
             assert np.array_equal(a, b)
 
 
-class TestSpecValidation:
+class TestConfigValidation:
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
-            spec_with(byz_node_fraction=1.5)
+            AdversaryConfig(node_fraction=1.5)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            spec_with(node_strategy="bribe-everyone")
+            AdversaryConfig(node_strategy="bribe-everyone")

@@ -114,20 +114,18 @@ class TestSortition:
 
 class TestLikelihoodScores:
     def test_unanimous_single_round(self):
-        table = likelihood_scores([{b"A": 5}], [5])
-        assert table.scores == {b"A": 25}
+        assert likelihood_scores([{b"A": 5}], [5]) == {b"A": 25}
 
     def test_even_split_scores_zero(self):
-        table = likelihood_scores([{b"A": 2, b"B": 2}], [4])
-        assert table.scores == {b"A": 0, b"B": 0}
+        assert likelihood_scores([{b"A": 2, b"B": 2}], [4]) == {b"A": 0, b"B": 0}
 
     def test_two_round_accumulation(self):
-        table = likelihood_scores([{b"A": 3}, {b"A": 4}], [4, 5])
-        assert table.scores[b"A"] == (2 * 3 - 4) * 4 + (2 * 4 - 5) * 5 == 23
+        scores = likelihood_scores([{b"A": 3}, {b"A": 4}], [4, 5])
+        assert scores[b"A"] == (2 * 3 - 4) * 4 + (2 * 4 - 5) * 5 == 23
 
     def test_absent_round_penalizes(self):
-        table = likelihood_scores([{b"A": 3, b"B": 1}, {b"A": 4}], [4, 5])
-        assert table.scores[b"B"] == (2 * 1 - 4) * 4 + (0 - 5) * 5
+        scores = likelihood_scores([{b"A": 3, b"B": 1}, {b"A": 4}], [4, 5])
+        assert scores[b"B"] == (2 * 1 - 4) * 4 + (0 - 5) * 5
 
     def test_rejects_overfull_round(self):
         with pytest.raises(ValueError):
@@ -149,13 +147,13 @@ class TestLikelihoodScores:
             split = {k: v for k, v in split.items() if v > 0}
             counts_by_round.append(split)
             sizes.append(size)
-        table = likelihood_scores(counts_by_round, sizes)
+        scores = likelihood_scores(counts_by_round, sizes)
         for idx, (counts, c_l) in enumerate(zip(counts_by_round, sizes)):
             per_round = sum(
-                (2 * counts.get(k, 0) - c_l) * c_l for k in table.scores
+                (2 * counts.get(k, 0) - c_l) * c_l for k in scores
             )
             committed = sum(counts.values())
-            assert per_round == (2 * committed - len(table.scores) * c_l) * c_l
+            assert per_round == (2 * committed - len(scores) * c_l) * c_l
 
 
 class TestThreshold:
@@ -208,30 +206,22 @@ class TestDecide:
     THETA = 21.71
 
     def test_accepts_crossing_digest(self):
-        table = likelihood_scores([{b"A": 5}], [5])
-        assert decide(table, self.THETA) == b"A"
+        assert decide(likelihood_scores([{b"A": 5}], [5]), self.THETA) == b"A"
 
     def test_continues_below_threshold(self):
-        table = likelihood_scores([{b"A": 2, b"B": 2}], [4])
-        assert decide(table, self.THETA) is None
+        assert decide(likelihood_scores([{b"A": 2, b"B": 2}], [4]), self.THETA) is None
 
     def test_tie_breaks_to_smaller_digest(self):
-        table = likelihood_scores([{b"B": 4, b"A": 4}], [8])
-        table.scores = {b"A": 30, b"B": 30}
-        assert decide(table, 21.71) == b"A"
+        assert decide({b"B": 30, b"A": 30}, 21.71) == b"A"
 
     def test_strictly_greater_required(self):
-        table = likelihood_scores([{b"A": 5}], [5])
-        assert decide(table, 25.0) is None
+        assert decide(likelihood_scores([{b"A": 5}], [5]), 25.0) is None
 
     def test_largest_score_wins(self):
-        table = likelihood_scores([{b"A": 5}], [5])
-        table.scores = {b"A": 30, b"B": 40}
-        assert decide(table, 21.71) == b"B"
+        assert decide({b"A": 30, b"B": 40}, 21.71) == b"B"
 
     def test_best_digest_empty(self):
-        table = likelihood_scores([], [])
-        assert best_digest(table) is None
+        assert best_digest(likelihood_scores([], [])) is None
 
 
 class TestAgreement:

@@ -12,7 +12,7 @@ from datamarket.errors import (
     ZeroProbabilitySampled,
 )
 from datamarket.fedcore import (
-    OsmdParams,
+    OsmdConfig,
     classical_krum_index,
     corrected_krum,
     corrected_krum_index,
@@ -221,7 +221,7 @@ class _StubOracle:
 
 
 class TestFederatedRound:
-    PARAMS = OsmdParams(batch_size=6, learning_rate=1.0, step_sizes=(1.0,), floor_fraction=0.2)
+    PARAMS = OsmdConfig(batch_size=6, learning_rate=1.0, step_size=1.0, floor_fraction=0.2)
 
     def test_zero_deltas_fix_state(self):
         n, dim = 5, 4
@@ -229,7 +229,7 @@ class TestFederatedRound:
         p = np.full(n, 0.2)
         counts = np.zeros(n, dtype=np.int64)
         out = run_federated_round(
-            np.ones(dim), p, counts, self.PARAMS, 0, derive_seed("zero"), _StubOracle(deltas)
+            np.ones(dim), p, counts, self.PARAMS, derive_seed("zero"), _StubOracle(deltas)
         )
         assert np.array_equal(out.values, np.ones(dim))
         assert np.allclose(out.probabilities, p, atol=1e-12)
@@ -243,7 +243,6 @@ class TestFederatedRound:
             np.full(4, 0.25),
             np.zeros(4, dtype=np.int64),
             self.PARAMS,
-            2,
             derive_seed("replay"),
         )
         a = run_federated_round(*args, _StubOracle(deltas))
@@ -261,7 +260,6 @@ class TestFederatedRound:
             np.full(5, 0.2),
             np.zeros(5, dtype=np.int64),
             self.PARAMS,
-            0,
             derive_seed("corrupt"),
             _StubOracle(deltas),
         )
@@ -276,7 +274,6 @@ class TestFederatedRound:
             np.full(3, 1 / 3),
             np.zeros(3, dtype=np.int64),
             self.PARAMS,
-            0,
             derive_seed("blend"),
             _StubOracle(deltas),
             aggregator="mean",
@@ -292,7 +289,6 @@ class TestFederatedRound:
             np.full(6, 1 / 6),
             np.zeros(6, dtype=np.int64),
             self.PARAMS,
-            0,
             derive_seed("order"),
             _StubOracle(deltas),
         )
@@ -307,7 +303,6 @@ class TestFederatedRound:
             np.full(5, 0.2),
             np.zeros(5, dtype=np.int64),
             self.PARAMS,
-            0,
             derive_seed("once"),
             oracle,
         )
@@ -315,8 +310,9 @@ class TestFederatedRound:
         expected = np.stack([values] + [values + deltas[i] for i in out.candidate_sellers])
         assert np.array_equal(oracle.scored[0], expected)
 
-    def test_step_size_schedule_clamps(self):
-        params = OsmdParams(batch_size=2, learning_rate=0.5, step_sizes=(1.0, 0.5), floor_fraction=0.0)
-        assert params.step_size_at(0) == 1.0
-        assert params.step_size_at(1) == 0.5
-        assert params.step_size_at(99) == 0.5
+    @pytest.mark.parametrize(
+        "field, value", [("batch_size", 0), ("step_size", 0.0), ("step_size", -1.0)]
+    )
+    def test_config_rejects_non_positive(self, field, value):
+        with pytest.raises(ValueError):
+            OsmdConfig(**{field: value})

@@ -3,6 +3,7 @@
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from datamarket.scenario import (
     AdversaryConfig,
     DataConfig,
     RequestConfig,
+    Scenario,
     format_config,
     load_scenario,
     parse_config,
@@ -269,7 +271,10 @@ class TestScenarioConfig:
             "consensus.byz_fraction_max = 0",
             "consensus.sample_fraction = 1.5",
             "osmd.batch_size = 0",
+            "osmd.step_size = 0",
             "adversary.node_fraction = 2",
+            "adversary.seller_strategy = bribe",
+            "request.metric = f1",
         ],
     )
     def test_bad_protocol_value_fails_at_load(self, tmp_path, line):
@@ -277,6 +282,18 @@ class TestScenarioConfig:
         path.write_text(line + "\n")
         with pytest.raises((ValueError, DegenerateParams)):
             load_scenario(path)
+
+    def test_readme_block_matches_defaults(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Scenario config", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+        def keys(text):
+            lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+            return [line.split("=", 1)[0].strip() for line in lines if line]
+
+        assert parse_config(block) == Scenario()
+        assert keys(block) == keys(format_config(Scenario()))
 
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "s.cfg"

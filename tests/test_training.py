@@ -17,7 +17,6 @@ from datamarket.rng import derive_seed, rng_from
 from datamarket.training import (
     UTILITY_BLOCK_FLOATS,
     LabeledDataset,
-    MetricSpec,
     ModelSpec,
     ModelWeights,
     SynthSpec,
@@ -148,14 +147,6 @@ class TestEvaluateMetric:
         empty = LabeledDataset(np.empty((0, 5)), np.empty(0, dtype=int), 3)
         with pytest.raises(EmptyEvalSet):
             evaluate_metric(init_weights(ModelSpec(5, 3), derive_seed("m")), empty)
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_metric(
-                init_weights(ModelSpec(5, 3), derive_seed("m")),
-                small_dataset(),
-                MetricSpec(metric_id="f1", threshold=0.5),
-            )
 
 
 class TestUtility:
