@@ -45,10 +45,12 @@ from .fedcore import (
     utility_estimates,
 )
 from .harness import (
+    Market,
     PipelineResult,
     RunResult,
     byzantine_grid,
     consensus_trials,
+    honest_round,
     run_auction_to_completion,
     run_core,
     run_experiment_grid,

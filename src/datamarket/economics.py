@@ -93,19 +93,6 @@ def geometric_catch_prob(detect_rate: float) -> Callable[[int], float]:
     return lambda rounds: 1.0 - (1.0 - detect_rate) ** (rounds - 1)
 
 
-def empirical_catch_prob(implicated_flags: list[bool]) -> Callable[[int], float]:
-    """Detection estimated from simulated instances.
-
-    Each flag records whether colluders ended up implicated (committed to
-    a digest that lost).  The estimate is constant in the round index but
-    satisfies the required monotonicity trivially.
-    """
-    if not implicated_flags:
-        raise ValueError("need at least one observation")
-    rate = sum(implicated_flags) / len(implicated_flags)
-    return lambda rounds: rate
-
-
 @dataclass(frozen=True)
 class PayoffParams:
     """Inputs of the one-shot payoff game.

@@ -213,8 +213,11 @@ def mean_aggregate(candidates: Sequence[np.ndarray]) -> np.ndarray:
 class SellerOracle(Protocol):
     """Interface a round uses to reach sellers and score models."""
 
-    def local_delta(self, seller: int, values: np.ndarray) -> np.ndarray:
-        """Parameter delta proposed by one seller for the given weights."""
+    def local_delta(self, seller: int, values: np.ndarray, seed: bytes) -> np.ndarray:
+        """Parameter delta proposed by one seller for the given weights.
+
+        ``seed`` is the seller's own, ``derive_seed(round_seed, "seller", seller)``.
+        """
 
     def utility(self, stack: np.ndarray) -> np.ndarray:
         """Utility of each row of a (k, param_count) weight stack; lower is better.
@@ -232,7 +235,6 @@ class FederatedRoundResult:
     probabilities: np.ndarray
     access_counts: np.ndarray
     sampled: tuple[int, ...]
-    candidate_sellers: tuple[int, ...]
     chosen_seller: int
 
 
@@ -259,7 +261,10 @@ def run_federated_round(
 
     sample = sample_sellers(p, k, derive_seed(seed, "sample"))
     sampled_sellers = sorted(int(i) for i in set(sample.tolist()))
-    deltas = {i: np.asarray(oracle.local_delta(i, values), dtype=float) for i in sampled_sellers}
+    deltas = {
+        i: np.asarray(oracle.local_delta(i, values, derive_seed(seed, "seller", i)), dtype=float)
+        for i in sampled_sellers
+    }
 
     new_counts = update_access_counts(counts, sample)
 
@@ -288,6 +293,5 @@ def run_federated_round(
         probabilities=new_p,
         access_counts=new_counts,
         sampled=tuple(int(i) for i in sample),
-        candidate_sellers=tuple(sampled_sellers),
         chosen_seller=sampled_sellers[chosen] if chosen >= 0 else -1,
     )

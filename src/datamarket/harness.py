@@ -1,10 +1,11 @@
 """Orchestrates the full marketplace loop over ledger, consensus, and training.
 
 Per global round, every honest executor replays the same deterministic
-sampling/aggregation computation (the shared seed depends on the auction
-and round only), commits a digest of its result, and the likelihood rule
-picks the digest to adopt.  The winning digest's preimage is verified
-before adoption.
+sampling/aggregation computation, ``honest_round``: a pure function of the
+run's fixed ``Market``, the adopted state and the round index.  Each
+executor commits a digest of its result, and the likelihood rule picks
+the digest to adopt.  The winning digest's preimage is verified before
+adoption.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .economics import (
     geometric_catch_prob,
 )
 from .errors import NoConsensus
-from .fedcore import run_federated_round
+from .fedcore import FederatedRoundResult, run_federated_round
 from .ledger import Ledger
 from .metrics import MetricsSink, rounds_csv
 from .rng import derive_seed
@@ -38,6 +40,7 @@ from .scenario import Scenario
 from .training import (
     DatasetSplits,
     LabeledDataset,
+    ModelSpec,
     ModelWeights,
     dirichlet_partition,
     evaluate_metric,
@@ -52,6 +55,7 @@ from .training import (
 )
 
 State = tuple[ModelWeights, np.ndarray, np.ndarray]
+Adopted = tuple[State, bytes]  # a state and its digest
 
 
 @dataclass
@@ -93,41 +97,84 @@ def build_splits(scenario: Scenario) -> DatasetSplits:
     raise ValueError(f"unknown dataset kind {scenario.data.kind!r}")
 
 
-class _SellerPool:
-    """Resolves per-seller updates, honest or adversarial, for one round."""
+def _ids(prefix: str, count: int) -> tuple[str, ...]:
+    """Participant ids: ``s000``, ``s001``, ... for sellers, ``n000``, ... for nodes."""
+    return tuple(f"{prefix}{i:03d}" for i in range(count))
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        shards: list[LabeledDataset],
-        byz_sellers: frozenset[int],
-        utility_set: LabeledDataset,
-        spec,
-    ):
-        self.scenario = scenario
-        self.shards = shards
-        self.byz_sellers = byz_sellers
-        self.utility_set = utility_set
-        self.spec = spec
-        self.round_seed = b"\x00" * 32
 
-    def local_delta(self, seller: int, values: np.ndarray) -> np.ndarray:
+def _seller_shards(scenario: Scenario, splits: DatasetSplits) -> list[LabeledDataset]:
+    """Every seller's training rows: a seeded Dirichlet partition of the train split."""
+    seed = derive_seed(scenario.root_seed, "partition")
+    plan = dirichlet_partition(splits.train, scenario.sellers, scenario.data.partition_alpha, seed)
+    return partition_shards(splits.train, plan)
+
+
+@dataclass(frozen=True, eq=False)
+class Market:
+    """The constants every round of one run reads, fixed before the first round.
+
+    Seller ``i`` of a round is ``seller_ids[i]``, holding ``shards[i]``: the
+    sellers the auction matched, in id order, or every seller of the
+    scenario in a standalone run.  The market is also the rounds'
+    :class:`fedcore.SellerOracle`.
+    """
+
+    scenario: Scenario
+    root: bytes  # the scenario's root seed
+    label: str  # the auction's tags; every per-round seed derives from root and label
+    seller_ids: tuple[str, ...]
+    shards: tuple[LabeledDataset, ...]
+    splits: DatasetSplits
+    node_ids: tuple[str, ...]
+    byz_nodes: frozenset[str]
+    byz_sellers: frozenset[int]
+    spec: ModelSpec
+    utility_set: LabeledDataset
+
+    @classmethod
+    def build(
+        cls, scenario: Scenario, label: str, seller_ids: Sequence[str], splits: DatasetSplits,
+        shards: Sequence[LabeledDataset],
+    ) -> Market:
+        """The market over these sellers; nodes and Byzantine roles follow from the scenario."""
+        root = scenario.root_seed
+        node_ids = _ids("n", scenario.nodes)
+        byz_nodes, byz_sellers = adv.assign_roles(
+            node_ids, range(len(seller_ids)), scenario.adversary, derive_seed(root, "adversary")
+        )
+        train, validation = splits.train, splits.validation
+        rows = scenario.data.utility_eval_rows
+        return cls(
+            scenario=scenario, root=root, label=label, seller_ids=tuple(seller_ids),
+            shards=tuple(shards), splits=splits, node_ids=node_ids, byz_nodes=byz_nodes,
+            byz_sellers=byz_sellers,
+            spec=scenario.model_spec(train.features.shape[1], train.class_count),
+            utility_set=validation.head(rows) if rows else validation,
+        )
+
+    @classmethod
+    def standalone(cls, scenario: Scenario) -> Market:
+        """Every seller of the scenario, outside any auction."""
+        splits = build_splits(scenario)
+        shards = _seller_shards(scenario, splits)
+        return cls.build(scenario, "standalone", _ids("s", scenario.sellers), splits, shards)
+
+    def initial_state(self) -> State:
+        """Seeded initial weights, a uniform distribution and zero access counts."""
+        n = len(self.seller_ids)
+        weights = init_weights(self.spec, derive_seed(self.root, "init"))
+        return weights, np.full(n, 1.0 / n), np.zeros(n, dtype=np.int64)
+
+    def local_delta(self, seller: int, values: np.ndarray, seed: bytes) -> np.ndarray:
         shard = self.shards[seller]
         if len(shard) == 0:
             return np.zeros_like(values)
         w = ModelWeights(values, self.spec)
-        seed = derive_seed(self.round_seed, "seller", seller)
-        train = self.scenario.train
+        train, adversary = self.scenario.train, self.scenario.adversary
         if seller in self.byz_sellers:
             return adv.malicious_seller_update(
-                self.scenario.adversary.seller_strategy,
-                w,
-                shard,
-                seed,
-                epochs=train.epochs,
-                lr=train.lr,
-                batch=train.batch,
-                scale_factor=self.scenario.adversary.scale_factor,
+                adversary.seller_strategy, w, shard, seed, epochs=train.epochs, lr=train.lr,
+                batch=train.batch, scale_factor=adversary.scale_factor,
             )
         return local_update(
             w, shard, epochs=train.epochs, lr=train.lr, batch=train.batch, seed=seed
@@ -137,123 +184,81 @@ class _SellerPool:
         return utility(self.spec, stack, self.utility_set)
 
 
-def _aggregator_for(scenario: Scenario) -> str:
-    return "mean" if scenario.ablation == "no-krum" else "corrected-krum"
+def honest_round(market: Market, state: State, t: int) -> tuple[State, bytes, FederatedRoundResult]:
+    """Round t's honest work on state: the next state, its digest and the round's result.
+
+    A pure function of its arguments, so every honest executor that holds
+    the market and the state computes the same digest.
+    """
+    weights, p, counts = state
+    scenario = market.scenario
+    fed = run_federated_round(
+        weights.values, p, counts, scenario.osmd, derive_seed(market.root, "fed", market.label, t),
+        market, aggregator="mean" if scenario.ablation == "no-krum" else "corrected-krum",
+    )
+    new_state = (weights.with_values(fed.values), fed.probabilities, fed.access_counts)
+    return new_state, state_digest(*new_state), fed
 
 
 def run_core(
     scenario: Scenario,
     *,
+    market: Market | None = None,
     ledger: Ledger | None = None,
-    auction_label: str = "standalone",
-    seller_ids: list[str] | None = None,
-    splits: DatasetSplits | None = None,
-    shards: list[LabeledDataset] | None = None,
     sink: MetricsSink | None = None,
 ) -> RunResult:
     """Run the training/consensus loop until the metric target or round cap.
 
-    Returns the adopted weights plus the per-seller access counts and
-    per-node participation counts that drive revenue distribution.
+    Without a market the run is standalone (:meth:`Market.standalone`);
+    without a ledger it commits on a fresh one with the market's nodes
+    registered.  Returns the adopted weights plus the per-seller access
+    counts and per-node participation counts that drive revenue
+    distribution.
     """
     started = time.perf_counter()
-    root = scenario.root_seed
     sink = sink if sink is not None else MetricsSink()
-
-    if splits is None:
-        splits = build_splits(scenario)
-    if seller_ids is None:
-        seller_ids = [f"s{i:03d}" for i in range(scenario.sellers)]
-    n_sellers = len(seller_ids)
-    if shards is None:
-        plan = dirichlet_partition(
-            splits.train,
-            n_sellers,
-            scenario.data.partition_alpha,
-            derive_seed(root, "partition"),
-        )
-        shards = partition_shards(splits.train, plan)
-
-    own_ledger = ledger is None
-    if own_ledger:
+    if market is None:
+        market = Market.standalone(scenario)
+    elif market.scenario != scenario:
+        raise ValueError("the market was built for another scenario")
+    if ledger is None:
         ledger = Ledger(
             seed=scenario.seed,
             auction_window=scenario.auction_window,
             commit_timeout=scenario.timeout_blocks,
         )
-    node_ids = [f"n{i:03d}" for i in range(scenario.nodes)]
-    if own_ledger:
-        for nid in node_ids:
+        for nid in market.node_ids:
             ledger.register_node(nid)
 
-    spec = scenario.model_spec(
-        input_dim=splits.train.features.shape[1], class_count=splits.train.class_count
-    )
-    weights = init_weights(spec, derive_seed(root, "init"))
-    p = np.full(n_sellers, 1.0 / n_sellers)
-    access_counts = np.zeros(n_sellers, dtype=np.int64)
-    participation: dict[str, int] = {nid: 0 for nid in node_ids}
-
-    params = scenario.consensus_params()
-    theta = threshold(params)
-    byz_nodes, byz_sellers = adv.assign_roles(
-        node_ids, list(range(n_sellers)), scenario.adversary, derive_seed(root, "adversary")
-    )
-    utility_set = (
-        splits.validation.head(scenario.data.utility_eval_rows)
-        if scenario.data.utility_eval_rows
-        else splits.validation
-    )
-    pool = _SellerPool(scenario, shards, byz_sellers, utility_set, spec)
     tau = scenario.request.threshold
-
+    participation: dict[str, int] = {nid: 0 for nid in market.node_ids}
     records: list[dict] = []
-    prev_digest: bytes | None = None
-    prev_state: State | None = None
+    prev: Adopted | None = None
     wrong_adoptions = 0
+    state = market.initial_state()
     # Validation accuracy of the current weights: the stopping test, the
     # round's record and the final figure all read this one evaluation.
-    val_acc = evaluate_metric(weights, splits.validation)
+    val_acc = evaluate_metric(state[0], market.splits.validation)
     t = 0
     while t < scenario.t_max and val_acc < tau:
-        pool.round_seed = derive_seed(root, "fed", auction_label, t)
-        fed = run_federated_round(
-            weights.values,
-            p,
-            access_counts,
-            scenario.osmd,
-            pool.round_seed,
-            pool,
-            aggregator=_aggregator_for(scenario),
-        )
-        honest_state: State = (
-            weights.with_values(fed.values),
-            fed.probabilities,
-            fed.access_counts,
-        )
-        honest_digest = state_digest(*honest_state)
-
+        honest_state, honest_digest, fed = honest_round(market, state, t)
+        honest = (honest_state, honest_digest)
         if scenario.ablation == "no-consensus":
-            accepted, mini_rounds = _single_executor_round(
-                scenario, root, auction_label, t, node_ids, byz_nodes, participation,
-                honest_state, honest_digest, prev_state,
-            )
+            adopted, mini_rounds = _single_executor_round(market, t, participation, honest, prev)
         else:
-            accepted, mini_rounds = _consensus_round(
-                scenario, root, auction_label, t, ledger, node_ids, byz_nodes,
-                participation, params, theta, honest_state, honest_digest,
-                prev_state, prev_digest, sink,
+            adopted, mini_rounds = _consensus_round(
+                market, t, ledger, participation, honest, prev, sink
             )
 
-        state, digest = accepted
+        state, digest = adopted
         if state_digest(*state) != digest:
             raise NoConsensus("adopted state does not match the accepted digest")
-        weights, p, access_counts = state
         if digest != honest_digest:
             wrong_adoptions += 1
-        prev_digest, prev_state = digest, state
+        prev = adopted
 
-        val_acc = evaluate_metric(weights, splits.validation)
+        weights, p, access_counts = state
+        val_acc = evaluate_metric(weights, market.splits.validation)
         record = dict(
             round=t,
             mini_rounds=mini_rounds,
@@ -269,74 +274,74 @@ def run_core(
         sink.emit("round", **record)
         t += 1
 
+    weights, p, access_counts = state
     return RunResult(
         weights=weights,
         probabilities=p,
         access_counts=access_counts,
         participation=participation,
         records=records,
-        seller_ids=list(seller_ids),
+        seller_ids=list(market.seller_ids),
         final_validation_accuracy=val_acc,
-        final_test_accuracy=evaluate_metric(weights, splits.test),
+        final_test_accuracy=evaluate_metric(weights, market.splits.test),
         termination="metric" if val_acc >= tau else "round-cap",
         wrong_adoptions=wrong_adoptions,
         wall_time_s=time.perf_counter() - started,
     )
 
 
-def _poisoned_state(
-    scenario: Scenario, root: bytes, auction_label: str, t: int, honest_state: State
-) -> State:
+def _poisoned_state(market: Market, t: int, honest_state: State) -> State:
     """Revealable forged state Byzantine executors stand behind in round t."""
     return adv.poisoned_state(
         *honest_state,
-        seed=derive_seed(root, "byz", auction_label, t),
-        strength=scenario.adversary.poison_strength,
+        seed=derive_seed(market.root, "byz", market.label, t),
+        strength=market.scenario.adversary.poison_strength,
     )
 
 
 def _single_executor_round(
-    scenario, root, auction_label, t, node_ids, byz_nodes, participation,
-    honest_state, honest_digest, prev_state,
-) -> tuple[tuple[State, bytes], int]:
-    seed = derive_seed(root, "sortition", auction_label, t, 1)
-    executor = sortition(seed, node_ids, 1)[0]
+    market: Market, t: int, participation: dict[str, int], honest: Adopted, prev: Adopted | None
+) -> tuple[Adopted, int]:
+    seed = derive_seed(market.root, "sortition", market.label, t, 1)
+    executor = sortition(seed, market.node_ids, 1)[0]
     participation[executor] += 1
-    if executor not in byz_nodes:
-        return (honest_state, honest_digest), 1
-    if scenario.adversary.node_strategy == "stale-digest" and prev_state is not None:
-        state = prev_state
-    else:
-        state = _poisoned_state(scenario, root, auction_label, t, honest_state)
+    if executor not in market.byz_nodes:
+        return honest, 1
+    if market.scenario.adversary.node_strategy == "stale-digest" and prev is not None:
+        return prev, 1
+    state = _poisoned_state(market, t, honest[0])
     return (state, state_digest(*state)), 1
 
 
 def _consensus_round(
-    scenario, root, auction_label, t, ledger, node_ids, byz_nodes, participation,
-    params: ConsensusParams, theta: float, honest_state, honest_digest,
-    prev_state, prev_digest, sink: MetricsSink,
-) -> tuple[tuple[State, bytes], int]:
+    market: Market, t: int, ledger: Ledger, participation: dict[str, int], honest: Adopted,
+    prev: Adopted | None, sink: MetricsSink,
+) -> tuple[Adopted, int]:
     """One global round's agreement: the committees commit on the ledger."""
+    root, label = market.root, market.label
+    honest_state, honest_digest = honest
     reveals: dict[bytes, State] = {honest_digest: honest_state}
-    strategy = scenario.adversary.node_strategy
+    strategy = market.scenario.adversary.node_strategy
     colluding_digest = None
-    if byz_nodes and strategy == "colluding-common-digest":
-        poison = _poisoned_state(scenario, root, auction_label, t, honest_state)
+    if market.byz_nodes and strategy == "colluding-common-digest":
+        poison = _poisoned_state(market, t, honest_state)
         colluding_digest = state_digest(*poison)
         reveals[colluding_digest] = poison
-    if prev_digest is not None and prev_state is not None:
+    prev_digest = None
+    if prev is not None:
+        prev_state, prev_digest = prev
         reveals[prev_digest] = prev_state
     ctx = adv.RoundContext(prev_digest=prev_digest, colluding_digest=colluding_digest)
     shared = adv.shared_forgery(strategy, ctx)
 
     def commit(i: int, size: int) -> Counter:
-        es_seed = derive_seed(root, "sortition", auction_label, ledger.beacon(), t, i)
-        members = sortition(es_seed, node_ids, size)
+        es_seed = derive_seed(root, "sortition", label, ledger.beacon(), t, i)
+        members = sortition(es_seed, market.node_ids, size)
         ledger.publish_execution_set(t, i, members)
         commits: list[tuple[str, bytes]] = []
         for node in members:
             participation[node] += 1
-            if node not in byz_nodes:
+            if node not in market.byz_nodes:
                 digest = honest_digest
             elif shared is not None:
                 digest = shared
@@ -345,7 +350,7 @@ def _consensus_round(
                     strategy,
                     honest_digest,
                     ctx,
-                    derive_seed(root, "byz-digest", auction_label, t, i, node),
+                    derive_seed(root, "byz-digest", label, t, i, node),
                 )
             commits.append((node, digest))
         ledger.commit_digests(t, i, commits)
@@ -361,7 +366,8 @@ def _consensus_round(
             accepted=accepted.hex() if accepted else None,
         )
 
-    accepted, mini_rounds = agree(params, theta, commit, reveals, on_decision)
+    params = market.scenario.consensus_params()
+    accepted, mini_rounds = agree(params, threshold(params), commit, reveals, on_decision)
     return (reveals[accepted], accepted), mini_rounds
 
 
@@ -386,17 +392,12 @@ def run_auction_to_completion(
         ledger.mint(rival, amount + scenario.tx_fee)
         rivals.append((rival, amount))
 
-    seller_ids = [ledger.register_user(f"s{i:03d}", is_buyer=False) for i in range(scenario.sellers)]
-    node_ids = [ledger.register_node(f"n{i:03d}") for i in range(scenario.nodes)]
+    seller_ids = [ledger.register_user(sid, is_buyer=False) for sid in _ids("s", scenario.sellers)]
+    for nid in _ids("n", scenario.nodes):
+        ledger.register_node(nid)
 
     splits = build_splits(scenario)
-    plan = dirichlet_partition(
-        splits.train,
-        scenario.sellers,
-        scenario.data.partition_alpha,
-        derive_seed(scenario.root_seed, "partition"),
-    )
-    shards = partition_shards(splits.train, plan)
+    shards = _seller_shards(scenario, splits)
     registry_tags = frozenset(scenario.data.registry_tags) or request.tags
     for sid, shard in zip(seller_ids, shards):
         ledger.register_dataset(sid, registry_tags, len(shard))
@@ -416,16 +417,14 @@ def run_auction_to_completion(
     winner = ledger.settlements[settlement].winner
     matched_ids = sorted(matched)
     index_of = {sid: k for k, sid in enumerate(seller_ids)}
-    matched_shards = [shards[index_of[sid]] for sid in matched_ids]
-    run = run_core(
+    market = Market.build(
         scenario,
-        ledger=ledger,
-        auction_label="+".join(sorted(request.tags)),
-        seller_ids=matched_ids,
-        splits=splits,
-        shards=matched_shards,
-        sink=sink,
+        "+".join(sorted(request.tags)),
+        matched_ids,
+        splits,
+        [shards[index_of[sid]] for sid in matched_ids],
     )
+    run = run_core(scenario, market=market, ledger=ledger, sink=sink)
 
     contribs = {sid: int(run.access_counts[k]) for k, sid in enumerate(matched_ids)}
     node_counts = {nid: count for nid, count in run.participation.items()}
@@ -534,7 +533,7 @@ def consensus_trials(
     sortition: honest members commit a common honest digest, Byzantine
     members a common wrong digest.
     """
-    node_ids = [f"n{i:03d}" for i in range(params.total_nodes)]
+    node_ids = _ids("n", params.total_nodes)
     byz_count = int(byz_fraction * params.total_nodes)
     byz = frozenset(node_ids[:byz_count])  # identities are exchangeable
     root = derive_seed("consensus-trials", seed)

@@ -275,7 +275,7 @@ class Ledger:
         return accepted
 
     def close_auction(
-        self, tags: Iterable[str], current_height: int | None = None
+        self, tags: Iterable[str]
     ) -> tuple[DataRequest | None, frozenset[str], int | None]:
         """End an elapsed auction; return the winning request and matched sellers.
 
@@ -286,10 +286,9 @@ class Ledger:
         auction = self.active_auctions.get(tags)
         if auction is None:
             raise NoSuchAuction(f"no auction for tags {sorted(tags)}")
-        height = self.height if current_height is None else current_height
-        if height < auction.auction_end:
+        if self.height < auction.auction_end:
             raise AuctionStillOpen(
-                f"auction open until height {auction.auction_end}, now {height}"
+                f"auction open until height {auction.auction_end}, now {self.height}"
             )
         del self.active_auctions[tags]
         if auction.highest_bidder is None:

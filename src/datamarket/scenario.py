@@ -95,11 +95,17 @@ class Scenario:
             raise ValueError("need at least one seller and one node")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
+        if self.auction_window < 1:
+            raise ValueError("auction_window must be >= 1")
+        if self.tx_fee < 0:
+            raise ValueError("tx_fee must be >= 0")
         # Build the derived protocol objects now so a bad value fails at
         # load, not after a run has escrowed the buyer's bid.  The osmd and
-        # adversary sections check themselves.
+        # adversary sections check themselves; each rival bid is a request.
         threshold(self.consensus_params())
-        self.data_request()
+        request = self.data_request()
+        for amount in self.competing_bids:
+            dataclasses.replace(request, amount=amount)
 
     # -- derived protocol objects --------------------------------------
 

@@ -13,7 +13,6 @@ from datamarket.economics import (
     _proportional_split,
     analyze_payoffs,
     distribute_revenue,
-    empirical_catch_prob,
     geometric_catch_prob,
     honesty_equilibrium_check,
     node_honesty_check,
@@ -299,12 +298,6 @@ class TestCatchProbability:
     def test_geometric_bounds_validated(self):
         with pytest.raises(ValueError):
             geometric_catch_prob(1.5)
-
-    def test_empirical_estimate(self):
-        f = empirical_catch_prob([True, True, False, True])
-        assert f(1) == pytest.approx(0.75)
-        with pytest.raises(ValueError):
-            empirical_catch_prob([])
 
 
 class TestAnalyzeReport:

@@ -206,13 +206,18 @@ class TestOtherAggregators:
 
 
 class _StubOracle:
-    """Seller deltas from a fixed table; utility is the weight-vector norm."""
+    """Seller deltas from a fixed table; utility is the weight-vector norm.
 
-    def __init__(self, deltas):
+    Checks that each seller receives its own seed, derived from the round's.
+    """
+
+    def __init__(self, deltas, round_seed):
         self.deltas = deltas
+        self.round_seed = round_seed
         self.scored: list[np.ndarray] = []
 
-    def local_delta(self, seller, values):
+    def local_delta(self, seller, values, seed):
+        assert seed == derive_seed(self.round_seed, "seller", seller)
         return self.deltas[seller]
 
     def utility(self, stack):
@@ -228,8 +233,9 @@ class TestFederatedRound:
         deltas = {i: np.zeros(dim) for i in range(n)}
         p = np.full(n, 0.2)
         counts = np.zeros(n, dtype=np.int64)
+        seed = derive_seed("zero")
         out = run_federated_round(
-            np.ones(dim), p, counts, self.PARAMS, derive_seed("zero"), _StubOracle(deltas)
+            np.ones(dim), p, counts, self.PARAMS, seed, _StubOracle(deltas, seed)
         )
         assert np.array_equal(out.values, np.ones(dim))
         assert np.allclose(out.probabilities, p, atol=1e-12)
@@ -245,8 +251,8 @@ class TestFederatedRound:
             self.PARAMS,
             derive_seed("replay"),
         )
-        a = run_federated_round(*args, _StubOracle(deltas))
-        b = run_federated_round(*args, _StubOracle(deltas))
+        a = run_federated_round(*args, _StubOracle(deltas, args[-1]))
+        b = run_federated_round(*args, _StubOracle(deltas, args[-1]))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.probabilities, b.probabilities)
         assert a.sampled == b.sampled and a.chosen_seller == b.chosen_seller
@@ -261,7 +267,7 @@ class TestFederatedRound:
             np.zeros(5, dtype=np.int64),
             self.PARAMS,
             derive_seed("corrupt"),
-            _StubOracle(deltas),
+            _StubOracle(deltas, derive_seed("corrupt")),
         )
         assert 3 in out.sampled  # corrupted seller was actually drawn
         assert out.chosen_seller != 3
@@ -275,7 +281,7 @@ class TestFederatedRound:
             np.zeros(3, dtype=np.int64),
             self.PARAMS,
             derive_seed("blend"),
-            _StubOracle(deltas),
+            _StubOracle(deltas, derive_seed("blend")),
             aggregator="mean",
         )
         assert out.chosen_seller == -1
@@ -284,19 +290,21 @@ class TestFederatedRound:
 
     def test_candidates_in_seller_index_order(self):
         deltas = {i: np.full(1, float(i)) for i in range(6)}
+        oracle = _StubOracle(deltas, derive_seed("order"))
         out = run_federated_round(
             np.zeros(1),
             np.full(6, 1 / 6),
             np.zeros(6, dtype=np.int64),
             self.PARAMS,
             derive_seed("order"),
-            _StubOracle(deltas),
+            oracle,
         )
-        assert list(out.candidate_sellers) == sorted(set(out.sampled))
+        # candidate j is seller i's model, whose only weight is i
+        assert oracle.scored[0][1:, 0].tolist() == sorted(set(out.sampled))
 
     def test_scores_base_and_candidates_in_one_call(self):
         deltas = {i: np.full(2, float(i)) for i in range(5)}
-        oracle = _StubOracle(deltas)
+        oracle = _StubOracle(deltas, derive_seed("once"))
         values = np.array([0.5, -1.0])
         out = run_federated_round(
             values,
@@ -307,7 +315,8 @@ class TestFederatedRound:
             oracle,
         )
         assert len(oracle.scored) == 1
-        expected = np.stack([values] + [values + deltas[i] for i in out.candidate_sellers])
+        sellers = sorted(set(out.sampled))
+        expected = np.stack([values] + [values + deltas[i] for i in sellers])
         assert np.array_equal(oracle.scored[0], expected)
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,9 +14,11 @@ from datamarket.cli import main as cli_main
 from datamarket.consensus import execution_set_size, threshold
 from datamarket.errors import DegenerateParams, NoConsensus
 from datamarket.harness import (
+    Market,
     build_splits,
     byzantine_grid,
     consensus_trials,
+    honest_round,
     run_auction_to_completion,
     run_core,
     run_experiment_grid,
@@ -98,6 +101,34 @@ class TestRunCore:
         assert consensus_events and all("scores" in e for e in consensus_events)
         # jsonl must serialize deterministically
         assert sink.to_jsonl() == sink.to_jsonl()
+
+
+class TestHonestRound:
+    def test_pure_in_market_state_and_round(self):
+        # honest nodes, Byzantine sellers: every adopted digest is the honest one
+        scenario = robustness_scenario(5, 0.0, 0.2, t_max=5)
+        accepted = [r["accepted_digest"] for r in run_core(scenario).records]
+        assert len(accepted) == scenario.t_max
+
+        market = Market.standalone(scenario)
+        assert market.byz_sellers and not market.byz_nodes
+        state = market.initial_state()
+        inputs = []
+        for t in range(scenario.t_max):
+            inputs.append(pickle.dumps(state))
+            state, digest, _ = honest_round(market, state, t)
+            assert digest.hex() == accepted[t]
+
+        # another executor, handed only the state, recomputes each round in any order
+        other = Market.standalone(scenario)
+        for t in reversed(range(scenario.t_max)):
+            _, digest, _ = honest_round(other, pickle.loads(inputs[t]), t)
+            assert digest.hex() == accepted[t]
+
+    def test_market_of_another_scenario_rejected(self):
+        market = Market.standalone(quick_scenario())
+        with pytest.raises(ValueError):
+            run_core(quick_scenario(seed=12), market=market)
 
 
 class TestAllByzantineCommittee:
@@ -275,6 +306,9 @@ class TestScenarioConfig:
             "adversary.node_fraction = 2",
             "adversary.seller_strategy = bribe",
             "request.metric = f1",
+            "tx_fee = -5",
+            "auction_window = 0",
+            "competing_bids = 0",
         ],
     )
     def test_bad_protocol_value_fails_at_load(self, tmp_path, line):

@@ -215,14 +215,6 @@ class TestCloseAuction:
         assert ledger.escrowed_total == 0
         assert conserved(ledger)
 
-    def test_explicit_height_parameter(self):
-        ledger = funded_ledger(auction_window=5)
-        ledger.start_auction(request(amount=100), "b1")
-        with pytest.raises(AuctionStillOpen):
-            ledger.close_auction({"x"}, current_height=4)
-        won, _, _ = ledger.close_auction({"x"}, current_height=5)
-        assert won.amount == 100
-
     def test_payout_must_balance(self):
         ledger = funded_ledger(auction_window=1)
         ledger.register_dataset("s1", {"x"}, 3)
