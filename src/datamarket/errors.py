@@ -43,6 +43,10 @@ class DoubleCommit(MarketError):
     pass
 
 
+class CommitTimeout(MarketError):
+    pass
+
+
 # --- consensus ---
 
 class SizeExceedsPopulation(MarketError):

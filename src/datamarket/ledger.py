@@ -2,14 +2,13 @@
 
 All state changes go through the public methods below, which either apply
 fully or raise without side effects, and are appended to a replayable
-transaction log.  Token conservation is exact: minted supply always equals
-balances plus escrow plus collected fees.
+transaction log, the ledger's only record.  Token conservation is exact:
+minted supply always equals balances plus escrow plus collected fees.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
@@ -18,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from .consensus import CommitRecord
 from .errors import (
     AuctionStillOpen,
+    CommitTimeout,
     DoubleCommit,
     DuplicateId,
     InsufficientBalance,
@@ -108,7 +108,6 @@ class _ExecutionSlot:
     member_set: frozenset[str]
     deadline: int
     commits: dict[str, CommitRecord] = field(default_factory=dict)
-    closed: bool = False
 
 
 @dataclass
@@ -128,6 +127,8 @@ class Ledger:
         commit_timeout: int = 10,
         tx_fee: int = 0,
     ):
+        if commit_timeout < 1:
+            raise ValueError("commit_timeout must be >= 1")
         self.seed = seed
         self.auction_window = auction_window
         self.commit_timeout = commit_timeout
@@ -138,10 +139,6 @@ class Ledger:
         self.active_auctions: dict[frozenset[str], AuctionState] = {}
         self.settlements: dict[int, _Settlement] = {}
         self.execution_slots: dict[tuple[int, int], _ExecutionSlot] = {}
-        # Keys of slots that may still time out, in publish order.  Deadlines
-        # never decrease in publish order, so only the front can fall due.
-        self._pending_slots: deque[tuple[int, int]] = deque()
-        self.events: list[dict] = []
         self.tx_log: list[dict] = [
             {
                 "op": "genesis",
@@ -159,9 +156,6 @@ class Ledger:
 
     def _log(self, op: str, **params) -> None:
         self.tx_log.append({"op": op, "height": self.height, **params})
-
-    def _emit(self, kind: str, **payload) -> None:
-        self.events.append({"height": self.height, "kind": kind, **payload})
 
     def _account(self, account_id: str) -> Account:
         if account_id not in self.accounts:
@@ -237,7 +231,6 @@ class Ledger:
             del self.active_auctions[request.tags]
             raise
         self._log("start_auction", request=request.to_dict(), caller=caller)
-        self._emit("auction-started", tags=sorted(request.tags), caller=caller)
         return request.tags
 
     def place_bid(self, request: DataRequest, caller: str, _record: bool = True) -> bool:
@@ -265,9 +258,6 @@ class Ledger:
             auction.highest_bidder = caller
             auction.escrowed = request.amount
             auction.request = request
-            self._emit(
-                "bid-accepted", tags=sorted(request.tags), caller=caller, amount=request.amount
-            )
         if _record:
             self._log(
                 "place_bid", request=request.to_dict(), caller=caller, accepted=accepted
@@ -293,15 +283,11 @@ class Ledger:
         del self.active_auctions[tags]
         if auction.highest_bidder is None:
             self._log("close_auction", tags=sorted(tags), outcome="no-bids")
-            self._emit("auction-closed", tags=sorted(tags), winner=None)
             return None, frozenset(), None
         sellers = self.identify_matching_datasets(tags)
         if not sellers:
             self._account(auction.highest_bidder).balance += auction.escrowed
             self._log("close_auction", tags=sorted(tags), outcome="refunded")
-            self._emit(
-                "auction-refunded", tags=sorted(tags), winner=auction.highest_bidder
-            )
             return auction.request, frozenset(), None
         settlement_id = self._next_settlement
         self._next_settlement += 1
@@ -309,13 +295,6 @@ class Ledger:
             amount=auction.escrowed, winner=auction.highest_bidder, tags=tags
         )
         self._log("close_auction", tags=sorted(tags), outcome="settled")
-        self._emit(
-            "auction-closed",
-            tags=sorted(tags),
-            winner=auction.highest_bidder,
-            amount=auction.escrowed,
-            sellers=sorted(sellers),
-        )
         return auction.request, sellers, settlement_id
 
     def payout_escrow(self, settlement_id: int, transfers: Mapping[str, int]) -> None:
@@ -337,7 +316,6 @@ class Ledger:
             settlement_id=settlement_id,
             transfers={k: transfers[k] for k in sorted(transfers)},
         )
-        self._emit("escrow-paid", settlement_id=settlement_id)
 
     def refund_settlement(self, settlement_id: int) -> None:
         """Return a settlement's escrow to the winning bidder untouched."""
@@ -347,7 +325,6 @@ class Ledger:
         self._account(settlement.winner).balance += settlement.amount
         del self.settlements[settlement_id]
         self._log("refund_settlement", settlement_id=settlement_id)
-        self._emit("escrow-refunded", settlement_id=settlement_id)
 
     # -- digest commitments --------------------------------------------
 
@@ -363,9 +340,7 @@ class Ledger:
             member_set=frozenset(members),
             deadline=self.height + self.commit_timeout,
         )
-        self._pending_slots.append(key)
         self._log("publish_execution_set", round=round, mini_round=mini_round, members=list(members))
-        self._emit("execution-set", round=round, mini_round=mini_round, members=list(members))
 
     def commit_digest(self, node: str, round: int, mini_round: int, digest: bytes) -> None:
         """Record one node's commit; see commit_digests."""
@@ -376,12 +351,15 @@ class Ledger:
     ) -> None:
         """Record (node, digest) commits for one execution slot, in order.
 
-        The whole batch is validated first: every node must be a member
-        that has not committed yet and appears once in the batch.
+        A batch at or after the slot's deadline is refused whole.  Otherwise
+        the batch is validated first: every node must be a member that has
+        not committed yet and appears once in the batch.
         """
         slot = self.execution_slots.get((round, mini_round))
         if slot is None:
             raise NotInExecutionSet(f"no execution set ({round}, {mini_round})")
+        if self.height >= slot.deadline:
+            raise CommitTimeout(f"execution set ({round}, {mini_round}) timed out at {slot.deadline}")
         batch: set[str] = set()
         for node, _ in commits:
             if node not in slot.member_set:
@@ -395,14 +373,6 @@ class Ledger:
             self._log(
                 "commit_digest", node=node, round=round, mini_round=mini_round, digest=hexed[digest]
             )
-        if len(slot.commits) == len(slot.members) and not slot.closed:
-            slot.closed = True
-            self._emit(
-                "commit-complete",
-                round=round,
-                mini_round=mini_round,
-                commits=len(slot.commits),
-            )
 
     def commits_for(self, round: int, mini_round: int) -> list[CommitRecord]:
         slot = self.execution_slots.get((round, mini_round))
@@ -413,32 +383,14 @@ class Ledger:
     # -- block production -----------------------------------------------
 
     def advance_block(self) -> int:
-        """Advance one block: refresh the beacon, fire due expirations."""
+        """Advance one block; auctions and execution slots expire by height."""
         self.height += 1
         self._log("advance_block")
-        for auction in self.active_auctions.values():
-            if auction.auction_end == self.height:
-                self._emit("auction-closeable", tags=sorted(auction.tags))
-        pending = self._pending_slots
-        while pending:
-            slot = self.execution_slots[pending[0]]
-            if not slot.closed:
-                if self.height < slot.deadline:
-                    break
-                slot.closed = True
-                round, mini_round = pending[0]
-                self._emit(
-                    "commit-timeout",
-                    round=round,
-                    mini_round=mini_round,
-                    commits=len(slot.commits),
-                )
-            pending.popleft()
         return self.height
 
-    def beacon(self, height: int | None = None) -> bytes:
-        """Deterministic per-block randomness used to seed sortition."""
-        return derive_seed(self.seed, "beacon", self.height if height is None else height)
+    def beacon(self) -> bytes:
+        """Deterministic randomness of the current block, used to seed sortition."""
+        return derive_seed(self.seed, "beacon", self.height)
 
     # -- audit surfaces ---------------------------------------------------
 

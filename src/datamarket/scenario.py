@@ -97,6 +97,8 @@ class Scenario:
             raise ValueError(f"unknown ablation {self.ablation!r}")
         if self.auction_window < 1:
             raise ValueError("auction_window must be >= 1")
+        if self.timeout_blocks < 1:
+            raise ValueError("timeout_blocks must be >= 1")
         if self.tx_fee < 0:
             raise ValueError("tx_fee must be >= 0")
         # Build the derived protocol objects now so a bad value fails at

@@ -232,6 +232,29 @@ class TestPipeline:
         assert a.ledger.snapshot_json() == b.ledger.snapshot_json()
         assert a.revenue.transfers == b.revenue.transfers
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            quick_scenario,
+            lambda **kw: robustness_scenario(1, 0.45, 0.2, sellers=10, nodes=30, t_max=8, **kw),
+        ],
+        ids=["honest", "byzantine"],
+    )
+    def test_commits_land_in_their_publish_block(self, make):
+        # Every seat commits in the block that publishes its execution set,
+        # so the shortest commit timeout changes nothing but the genesis record.
+        runs = []
+        for scenario in (make(), make(timeout_blocks=1)):
+            sink = MetricsSink()
+            result = run_auction_to_completion(scenario, sink=sink)
+            csv_text = rounds_csv(result.run.records, scenario.adversary.node_fraction, scenario.ablation)
+            runs.append((csv_text, sink.to_jsonl(), result.ledger.tx_log))
+        (csv_default, events_default, log_default), (csv_short, events_short, log_short) = runs
+        assert csv_short == csv_default and events_short == events_default
+        assert log_default[0]["commit_timeout"] == Scenario().timeout_blocks
+        assert log_short[0] == {**log_default[0], "commit_timeout": 1}
+        assert log_short[1:] == log_default[1:]
+
 
 class TestGrid:
     def test_grid_writes_series(self, tmp_path):
@@ -308,6 +331,8 @@ class TestScenarioConfig:
             "request.metric = f1",
             "tx_fee = -5",
             "auction_window = 0",
+            "timeout_blocks = 0",
+            "timeout_blocks = -3",
             "competing_bids = 0",
         ],
     )

@@ -6,6 +6,7 @@ import pytest
 
 from datamarket.errors import (
     AuctionStillOpen,
+    CommitTimeout,
     DoubleCommit,
     DuplicateId,
     InsufficientBalance,
@@ -235,27 +236,31 @@ class TestCommitments:
             ledger.register_node(f"n{i}")
         return ledger
 
-    def test_completion_event_on_last_commit(self):
+    def test_commit_in_last_block_before_deadline_accepted(self):
         ledger = self.fresh()
-        members = ["n0", "n1", "n2", "n3"]
-        ledger.publish_execution_set(0, 1, members)
-        for node in members:
-            ledger.commit_digest(node, 0, 1, derive_seed("d"))
-        done = [e for e in ledger.events if e["kind"] == "commit-complete"]
-        assert len(done) == 1 and done[0]["commits"] == 4
+        ledger.publish_execution_set(0, 1, ["n0", "n1"])
+        deadline = ledger.execution_slots[(0, 1)].deadline
+        assert deadline == ledger.height + 10
+        while ledger.height < deadline - 1:
+            ledger.advance_block()
+        ledger.commit_digests(0, 1, [("n1", derive_seed("d")), ("n0", derive_seed("d"))])
+        assert [c.node for c in ledger.commits_for(0, 1)] == ["n0", "n1"]
 
-    def test_timeout_fires_with_partial_commits(self):
+    def test_commit_at_deadline_rejected_without_trace(self):
         ledger = self.fresh()
-        ledger.publish_execution_set(0, 1, ["n0", "n1", "n2", "n3"])
-        for node in ["n0", "n1", "n2"]:
-            ledger.commit_digest(node, 0, 1, derive_seed("d"))
+        ledger.publish_execution_set(0, 1, ["n0", "n1", "n2"])
+        ledger.commit_digest("n0", 0, 1, derive_seed("d"))
         for _ in range(10):
             ledger.advance_block()
-        timeouts = [e for e in ledger.events if e["kind"] == "commit-timeout"]
-        assert len(timeouts) == 1 and timeouts[0]["commits"] == 3
-        assert len(ledger.commits_for(0, 1)) == 3
+        tx_log, snapshot = list(ledger.tx_log), ledger.snapshot()
+        with pytest.raises(CommitTimeout):
+            ledger.commit_digests(0, 1, [("n1", derive_seed("d")), ("n2", derive_seed("d"))])
+        with pytest.raises(CommitTimeout):  # the deadline comes before membership
+            ledger.commit_digest("n5", 0, 1, derive_seed("d"))
+        assert ledger.tx_log == tx_log and ledger.snapshot() == snapshot
+        assert [c.node for c in ledger.commits_for(0, 1)] == ["n0"]
 
-    def test_missing_committer_times_out_once_in_publish_order(self):
+    def test_partly_committed_slot_replays(self):
         ledger = Ledger(seed=1, commit_timeout=3)
         for i in range(6):
             ledger.register_node(f"n{i}")
@@ -264,25 +269,35 @@ class TestCommitments:
         for node in ["n0", "n1"]:
             ledger.commit_digest(node, 0, 1, derive_seed("d"))
             ledger.commit_digest(node, 0, 2, derive_seed("d"))
-        ledger.advance_block()
-        ledger.publish_execution_set(1, 1, ["n3"])  # full commit
-        ledger.publish_execution_set(1, 2, ["n4", "n5"])  # n5 withholds
-        ledger.commit_digest("n3", 1, 1, derive_seed("d"))
-        ledger.commit_digest("n4", 1, 2, derive_seed("d"))
-        for _ in range(12):
+        for _ in range(4):
             ledger.advance_block()
-        timeouts = [
-            (e["height"], e["round"], e["mini_round"], e["commits"])
-            for e in ledger.events
-            if e["kind"] == "commit-timeout"
-        ]
-        assert timeouts == [(3, 0, 2, 2), (4, 1, 2, 1)]
-        done = [
-            (e["round"], e["mini_round"])
-            for e in ledger.events
-            if e["kind"] == "commit-complete"
-        ]
-        assert done == [(0, 1), (1, 1)]
+        with pytest.raises(CommitTimeout):
+            ledger.commit_digest("n2", 0, 2, derive_seed("d"))
+        assert [c.node for c in ledger.commits_for(0, 2)] == ["n0", "n1"]
+        replayed = Ledger.replay(ledger.tx_log_ndjson())
+        assert replayed.snapshot_json() == ledger.snapshot_json()
+        for key in [(0, 1), (0, 2)]:
+            assert replayed.commits_for(*key) == ledger.commits_for(*key)
+
+    def test_replay_rejects_commit_after_deadline(self):
+        ledger = Ledger(seed=1, commit_timeout=2)
+        ledger.register_node("n0")
+        ledger.publish_execution_set(0, 1, ["n0"])
+        ledger.advance_block()
+        ledger.commit_digest("n0", 0, 1, derive_seed("d"))
+        lines = ledger.tx_log_ndjson().splitlines()
+        assert json.loads(lines[3])["op"] == "advance_block"
+        late = lines[:4] + lines[3:]  # a second block before the commit
+        with pytest.raises(CommitTimeout):
+            Ledger.replay("\n".join(late))
+
+    @pytest.mark.parametrize("timeout", [0, -3])
+    def test_timeout_below_one_rejected(self, timeout):
+        with pytest.raises(ValueError):
+            Ledger(commit_timeout=timeout)
+        genesis = json.loads(Ledger().tx_log_ndjson())
+        with pytest.raises(ValueError):
+            Ledger.replay(json.dumps({**genesis, "commit_timeout": timeout}))
 
     def test_non_member_rejected(self):
         ledger = self.fresh()
@@ -321,11 +336,11 @@ class TestBatchCommits:
     def test_bad_batch_changes_nothing(self, batch, error):
         ledger = self.fresh()
         ledger.commit_digests(0, 1, [("n0", self.D)])
-        tx_log, events = list(ledger.tx_log), list(ledger.events)
+        tx_log, snapshot = list(ledger.tx_log), ledger.snapshot()
         with pytest.raises(error):
             ledger.commit_digests(0, 1, batch)
         assert list(ledger.execution_slots[(0, 1)].commits) == ["n0"]
-        assert ledger.tx_log == tx_log and ledger.events == events
+        assert ledger.tx_log == tx_log and ledger.snapshot() == snapshot
 
     def test_unpublished_slot_rejected(self):
         ledger = self.fresh()
@@ -334,13 +349,11 @@ class TestBatchCommits:
         with pytest.raises(NotInExecutionSet):
             ledger.commit_digests(0, 2, [])
 
-    def test_completion_event_once_over_two_batches(self):
+    def test_two_batches_fill_slot_in_member_order(self):
         ledger = self.fresh()
         ledger.commit_digests(0, 1, [("n2", self.D), ("n0", derive_seed("x"))])
-        assert not [e for e in ledger.events if e["kind"] == "commit-complete"]
+        assert [c.node for c in ledger.commits_for(0, 1)] == ["n0", "n2"]
         ledger.commit_digests(0, 1, [("n3", self.D), ("n1", self.D)])
-        done = [e for e in ledger.events if e["kind"] == "commit-complete"]
-        assert len(done) == 1 and done[0]["commits"] == 4
         assert [c.node for c in ledger.commits_for(0, 1)] == ["n0", "n1", "n2", "n3"]
         logged = [e["node"] for e in ledger.tx_log if e["op"] == "commit_digest"]
         assert logged == ["n2", "n0", "n3", "n1"]
@@ -352,7 +365,7 @@ class TestBatchCommits:
         for node, digest in commits:
             single.commit_digest(node, 0, 1, digest)
         assert batched.tx_log_ndjson() == single.tx_log_ndjson()
-        assert batched.events == single.events
+        assert batched.commits_for(0, 1) == single.commits_for(0, 1)
 
     def test_replay_groups_consecutive_commits(self):
         original = Ledger(seed=2, commit_timeout=3)
@@ -378,7 +391,6 @@ class TestBatchCommits:
         replayed = Recording.replay(original.tx_log_ndjson())
         assert replayed.snapshot_json() == original.snapshot_json()
         assert replayed.tx_log_ndjson() == original.tx_log_ndjson()
-        assert replayed.events == original.events
         assert batches == [
             ((0, 1), ["n2", "n0"]),
             ((0, 2), ["n3"]),
@@ -393,21 +405,16 @@ class TestBlocks:
         assert ledger.advance_block() == 1
         assert ledger.advance_block() == 2
 
-    def test_close_eligibility_event(self):
-        ledger = funded_ledger(auction_window=2)
-        ledger.start_auction(request(), "b1")
-        ledger.advance_block()
-        ledger.advance_block()
-        assert any(e["kind"] == "auction-closeable" for e in ledger.events)
-
     def test_beacon_reproducible_across_instances(self):
-        a, b = Ledger(seed=99), Ledger(seed=99)
-        for _ in range(5):
-            a.advance_block()
-            b.advance_block()
-        assert a.beacon() == b.beacon()
-        assert a.beacon(3) == b.beacon(3)
-        assert Ledger(seed=100).beacon(3) != a.beacon(3)
+        a, b, other = Ledger(seed=99), Ledger(seed=99), Ledger(seed=100)
+        beacons = {}
+        for height in range(1, 6):
+            for ledger in (a, b, other):
+                ledger.advance_block()
+            if height in (3, 5):
+                assert a.beacon() == b.beacon() != other.beacon()
+                beacons[height] = a.beacon()
+        assert beacons[3] != beacons[5]
 
 
 class TestConservationFuzz:
