@@ -11,9 +11,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .consensus import sortition
 from .errors import EmptyShard
 from .rng import derive_seed, rng_from
-from .training import LabeledDataset, ModelWeights, local_update
+from .training import Adopted, LabeledDataset, ModelWeights, State, local_update, state_digest
 
 NODE_STRATEGIES = ("random-digest", "stale-digest", "colluding-common-digest")
 SELLER_STRATEGIES = ("label-flip", "random-gradient", "scaled-gradient")
@@ -41,85 +42,69 @@ class AdversaryConfig:
             raise ValueError(f"unknown seller strategy {self.seller_strategy!r}")
 
 
-def _pick(population: Sequence, count: int, seed: bytes) -> frozenset:
-    if count == 0:
-        return frozenset()
-    order = rng_from(seed).permutation(len(population))[:count]
-    return frozenset(population[int(i)] for i in order)
-
-
 def assign_roles(
     nodes: Sequence, sellers: Sequence, config: AdversaryConfig, seed: bytes
 ) -> tuple[frozenset, frozenset]:
-    """Mark floor(fraction * count) identities adversarial, seeded."""
-    byz_nodes = _pick(
-        nodes, int(config.node_fraction * len(nodes)), derive_seed(seed, "nodes")
+    """Mark floor(fraction * count) identities adversarial, drawn by seeded sortition."""
+    byz_nodes = sortition(derive_seed(seed, "nodes"), nodes, int(config.node_fraction * len(nodes)))
+    byz_sellers = sortition(
+        derive_seed(seed, "sellers"), sellers, int(config.seller_fraction * len(sellers))
     )
-    byz_sellers = _pick(
-        sellers, int(config.seller_fraction * len(sellers)), derive_seed(seed, "sellers")
-    )
-    return byz_nodes, byz_sellers
+    return frozenset(byz_nodes), frozenset(byz_sellers)
 
 
-@dataclass(frozen=True)
-class RoundContext:
-    """State a Byzantine node may reference when forging a digest."""
+def committee_forgery(
+    strategy: str, honest: State, prev: Adopted | None, seed: bytes, strength: float
+) -> Adopted | None:
+    """Revealable state and digest every Byzantine committee member stands behind.
 
-    prev_digest: bytes | None = None
-    colluding_digest: bytes | None = None
+    colluding-common-digest stands behind a poisoned copy of the honest
+    state, stale-digest behind the previous round's adopted state (None in
+    the first round); random-digest has none, so each node commits its
+    own :func:`byzantine_node_digest`.
+    """
+    if strategy == "colluding-common-digest":
+        return _poisoned(honest, seed, strength)
+    if strategy == "stale-digest":
+        return prev
+    if strategy == "random-digest":
+        return None
+    raise ValueError(f"unknown node strategy {strategy!r}")
 
 
-# Label of the per-node digest a strategy falls back to without a shared one.
-_FALLBACK_LABELS = {
-    "random-digest": "random-digest",
-    "stale-digest": "stale-fallback",
-    "colluding-common-digest": "colluding",
-}
+def lone_forgery(
+    strategy: str, honest: State, prev: Adopted | None, seed: bytes, strength: float
+) -> Adopted:
+    """State and digest a Byzantine single executor hands back in place of the honest ones.
 
-
-def shared_forgery(strategy: str, ctx: RoundContext) -> bytes | None:
-    """Digest every Byzantine node commits this round, or None if it is per node.
-
-    stale-digest shares the previous round's accepted digest and
-    colluding-common-digest the context's colluding digest, each when the
-    context holds one; random-digest never shares.
+    With nobody to outvote it, the executor still reveals a preimage:
+    stale-digest replays the previous round's state once there is one;
+    otherwise every strategy returns a poisoned copy of the honest state.
     """
     if strategy not in NODE_STRATEGIES:
         raise ValueError(f"unknown node strategy {strategy!r}")
-    if strategy == "stale-digest":
-        return ctx.prev_digest
-    if strategy == "colluding-common-digest":
-        return ctx.colluding_digest
-    return None
+    if strategy == "stale-digest" and prev is not None:
+        return prev
+    return _poisoned(honest, seed, strength)
 
 
-def byzantine_node_digest(
-    strategy: str,
-    honest_digest: bytes,
-    ctx: RoundContext,
-    seed: bytes,
-) -> bytes:
-    """Digest a Byzantine node commits instead of the honest one.
+def byzantine_node_digest(strategy: str, seed: bytes) -> bytes:
+    """Digest a Byzantine node commits when its committee has no common forgery.
 
-    The shared forgery when there is one (see shared_forgery); otherwise a
-    fresh hash of the node's seed: random-digest always, stale-digest
-    without a previous round, colluding-common-digest without a context
-    digest.
+    A fresh hash of the node's seed: random-digest always, stale-digest
+    before any round has been adopted.
     """
-    shared = shared_forgery(strategy, ctx)
-    if shared is not None:
-        return shared
-    return derive_seed(seed, _FALLBACK_LABELS[strategy])
+    if strategy == "random-digest":
+        return derive_seed(seed, "random-digest")
+    if strategy == "stale-digest":
+        return derive_seed(seed, "stale-fallback")
+    raise ValueError(f"node strategy {strategy!r} has no per-node digest")
 
 
 def poisoned_state(
-    w: ModelWeights,
-    p: np.ndarray,
-    counts: np.ndarray,
-    seed: bytes,
-    strength: float = 3.0,
-) -> tuple[ModelWeights, np.ndarray, np.ndarray]:
-    """Corrupted-but-revealable state colluding nodes stand behind.
+    w: ModelWeights, p: np.ndarray, counts: np.ndarray, seed: bytes, strength: float = 3.0
+) -> State:
+    """Corrupted-but-revealable state Byzantine executors stand behind.
 
     Weights are displaced by seeded noise whose norm scales with the
     current weight norm; the bookkeeping vectors are left intact so the
@@ -133,6 +118,11 @@ def poisoned_state(
     return w.with_values(w.values + noise), np.array(p, copy=True), np.array(counts, copy=True)
 
 
+def _poisoned(honest: State, seed: bytes, strength: float) -> Adopted:
+    state = poisoned_state(*honest, seed=seed, strength=strength)
+    return state, state_digest(*state)
+
+
 def malicious_seller_update(
     strategy: str,
     w: ModelWeights,
@@ -142,14 +132,12 @@ def malicious_seller_update(
     lr: float = 0.01,
     batch: int = 64,
     scale_factor: float = 1.0,
-    target_norm: float | None = None,
 ) -> np.ndarray:
     """Parameter delta a malicious seller returns.
 
     label-flip trains honestly on a label-permuted shard; random-gradient
-    returns seeded Gaussian noise at the target norm (the honest update's
-    norm when none is given); scaled-gradient multiplies the honest
-    update by a factor.
+    returns seeded Gaussian noise at the honest update's norm;
+    scaled-gradient multiplies the honest update by a factor.
     """
     if len(shard) == 0:
         raise EmptyShard("cannot corrupt an empty shard")
@@ -158,14 +146,11 @@ def malicious_seller_update(
             shard.features, (shard.labels + 1) % shard.class_count, shard.class_count
         )
         return local_update(w, flipped, epochs=epochs, lr=lr, batch=batch, seed=seed)
+    if strategy not in SELLER_STRATEGIES:
+        raise ValueError(f"unknown seller strategy {strategy!r}")
+    honest = local_update(w, shard, epochs=epochs, lr=lr, batch=batch, seed=seed)
     if strategy == "scaled-gradient":
-        honest = local_update(w, shard, epochs=epochs, lr=lr, batch=batch, seed=seed)
         return scale_factor * honest
-    if strategy == "random-gradient":
-        if target_norm is None:
-            honest = local_update(w, shard, epochs=epochs, lr=lr, batch=batch, seed=seed)
-            target_norm = float(np.linalg.norm(honest))
-        noise = rng_from(derive_seed(seed, "random-gradient")).normal(size=w.values.shape)
-        norm = float(np.linalg.norm(noise))
-        return noise * (target_norm / norm) if norm > 0 else noise
-    raise ValueError(f"unknown seller strategy {strategy!r}")
+    noise = rng_from(derive_seed(seed, "random-gradient")).normal(size=w.values.shape)
+    norm = float(np.linalg.norm(noise))
+    return noise * (float(np.linalg.norm(honest)) / norm) if norm > 0 else noise

@@ -189,7 +189,7 @@ def corrected_krum(candidates: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def classical_krum_index(candidates: Sequence[np.ndarray], byz_count: int | None = None) -> int:
-    """Classical nearest-neighbour Krum score; kept for ablation runs."""
+    """Classical nearest-neighbour Krum score, for comparison; no round aggregates with it."""
     _check_candidates(candidates)
     n = len(candidates)
     if byz_count is None:
@@ -278,9 +278,6 @@ def run_federated_round(
 
     if aggregator == "corrected-krum":
         chosen = corrected_krum_index(candidates)
-        new_values = candidates[chosen]
-    elif aggregator == "classical-krum":
-        chosen = classical_krum_index(candidates)
         new_values = candidates[chosen]
     elif aggregator == "mean":
         chosen = -1  # blend, not a member

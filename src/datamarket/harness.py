@@ -38,10 +38,12 @@ from .metrics import MetricsSink, rounds_csv
 from .rng import derive_seed
 from .scenario import Scenario
 from .training import (
+    Adopted,
     DatasetSplits,
     LabeledDataset,
     ModelSpec,
     ModelWeights,
+    State,
     dirichlet_partition,
     evaluate_metric,
     init_weights,
@@ -53,10 +55,6 @@ from .training import (
     synth_dataset,
     utility,
 )
-
-State = tuple[ModelWeights, np.ndarray, np.ndarray]
-Adopted = tuple[State, bytes]  # a state and its digest
-
 
 @dataclass
 class RunResult:
@@ -183,6 +181,10 @@ class Market:
     def utility(self, stack: np.ndarray) -> np.ndarray:
         return utility(self.spec, stack, self.utility_set)
 
+    def forgery_seed(self, t: int) -> bytes:
+        """Seed of the state Byzantine executors forge in round t."""
+        return derive_seed(self.root, "byz", self.label, t)
+
 
 def honest_round(market: Market, state: State, t: int) -> tuple[State, bytes, FederatedRoundResult]:
     """Round t's honest work on state: the next state, its digest and the round's result.
@@ -290,15 +292,6 @@ def run_core(
     )
 
 
-def _poisoned_state(market: Market, t: int, honest_state: State) -> State:
-    """Revealable forged state Byzantine executors stand behind in round t."""
-    return adv.poisoned_state(
-        *honest_state,
-        seed=derive_seed(market.root, "byz", market.label, t),
-        strength=market.scenario.adversary.poison_strength,
-    )
-
-
 def _single_executor_round(
     market: Market, t: int, participation: dict[str, int], honest: Adopted, prev: Adopted | None
 ) -> tuple[Adopted, int]:
@@ -307,10 +300,11 @@ def _single_executor_round(
     participation[executor] += 1
     if executor not in market.byz_nodes:
         return honest, 1
-    if market.scenario.adversary.node_strategy == "stale-digest" and prev is not None:
-        return prev, 1
-    state = _poisoned_state(market, t, honest[0])
-    return (state, state_digest(*state)), 1
+    adversary = market.scenario.adversary
+    forged = adv.lone_forgery(
+        adversary.node_strategy, honest[0], prev, market.forgery_seed(t), adversary.poison_strength
+    )
+    return forged, 1
 
 
 def _consensus_round(
@@ -321,18 +315,15 @@ def _consensus_round(
     root, label = market.root, market.label
     honest_state, honest_digest = honest
     reveals: dict[bytes, State] = {honest_digest: honest_state}
-    strategy = market.scenario.adversary.node_strategy
-    colluding_digest = None
-    if market.byz_nodes and strategy == "colluding-common-digest":
-        poison = _poisoned_state(market, t, honest_state)
-        colluding_digest = state_digest(*poison)
-        reveals[colluding_digest] = poison
-    prev_digest = None
-    if prev is not None:
-        prev_state, prev_digest = prev
-        reveals[prev_digest] = prev_state
-    ctx = adv.RoundContext(prev_digest=prev_digest, colluding_digest=colluding_digest)
-    shared = adv.shared_forgery(strategy, ctx)
+    adversary = market.scenario.adversary
+    forged = None
+    if market.byz_nodes:
+        forged = adv.committee_forgery(
+            adversary.node_strategy, honest_state, prev, market.forgery_seed(t),
+            adversary.poison_strength,
+        )
+    if forged is not None:
+        reveals[forged[1]] = forged[0]
 
     def commit(i: int, size: int) -> Counter:
         es_seed = derive_seed(root, "sortition", label, ledger.beacon(), t, i)
@@ -343,14 +334,11 @@ def _consensus_round(
             participation[node] += 1
             if node not in market.byz_nodes:
                 digest = honest_digest
-            elif shared is not None:
-                digest = shared
+            elif forged is not None:
+                digest = forged[1]
             else:
                 digest = adv.byzantine_node_digest(
-                    strategy,
-                    honest_digest,
-                    ctx,
-                    derive_seed(root, "byz-digest", label, t, i, node),
+                    adversary.node_strategy, derive_seed(root, "byz-digest", label, t, i, node)
                 )
             commits.append((node, digest))
         ledger.commit_digests(t, i, commits)

@@ -36,6 +36,10 @@ class TrainConfig:
     lr: float = 0.01
     batch: int = 64
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch < 1:
+            raise ValueError("train.epochs and train.batch must be >= 1")
+
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -50,6 +54,12 @@ class DataConfig:
     labels: str = ""
     utility_eval_rows: int = 0  # 0 = score on the full validation set
     registry_tags: tuple[str, ...] = ()  # dataset tags sellers register; () = request tags
+
+    def __post_init__(self):
+        if self.classes < 2:
+            raise ValueError("data.classes must be >= 2")
+        if self.utility_eval_rows < 0:
+            raise ValueError("data.utility_eval_rows must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -101,9 +111,12 @@ class Scenario:
             raise ValueError("timeout_blocks must be >= 1")
         if self.tx_fee < 0:
             raise ValueError("tx_fee must be >= 0")
+        if self.hidden_units < 0:
+            raise ValueError("hidden_units must be >= 0")
         # Build the derived protocol objects now so a bad value fails at
-        # load, not after a run has escrowed the buyer's bid.  The osmd and
-        # adversary sections check themselves; each rival bid is a request.
+        # load, not after a run has escrowed the buyer's bid.  The osmd,
+        # adversary, train and data sections check themselves; each rival
+        # bid is a request.
         threshold(self.consensus_params())
         request = self.data_request()
         for amount in self.competing_bids:

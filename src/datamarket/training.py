@@ -78,6 +78,10 @@ class ModelWeights:
         return ModelWeights(values=values, spec=self.spec)
 
 
+State = tuple[ModelWeights, np.ndarray, np.ndarray]  # weights, p, counts: what state_digest hashes
+Adopted = tuple[State, bytes]  # a state and its digest
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature matrix with integer class labels."""

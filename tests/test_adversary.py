@@ -6,12 +6,12 @@ import pytest
 from datamarket.adversary import (
     NODE_STRATEGIES,
     AdversaryConfig,
-    RoundContext,
     assign_roles,
     byzantine_node_digest,
+    committee_forgery,
+    lone_forgery,
     malicious_seller_update,
     poisoned_state,
-    shared_forgery,
 )
 from datamarket.errors import EmptyShard
 from datamarket.rng import derive_seed, rng_from
@@ -62,63 +62,73 @@ class TestAssignRoles:
         assert nodes == frozenset(NODES) and sellers == frozenset(SELLERS)
 
 
+def adopted(state):
+    return state, state_digest(*state)
+
+
+HONEST = adopted(
+    (init_weights(ModelSpec(4, 2), derive_seed("honest-w")), np.array([0.5, 0.5]), np.array([1, 2]))
+)
+PREV = adopted(poisoned_state(*HONEST[0], derive_seed("prev"), strength=1.0))
+POISON = adopted(poisoned_state(*HONEST[0], derive_seed("byz"), strength=0.5))
+
+
 class TestNodeDigests:
-    HONEST = derive_seed("honest-digest")
-
-    def test_colluders_share_one_digest(self):
-        ctx = RoundContext(colluding_digest=derive_seed("shared-wrong"))
-        digests = {
-            byzantine_node_digest(
-                "colluding-common-digest", self.HONEST, ctx, derive_seed("node", i)
-            )
-            for i in range(10)
-        }
-        assert digests == {ctx.colluding_digest}
-
     def test_random_digests_differ_between_nodes(self):
-        a = byzantine_node_digest("random-digest", self.HONEST, RoundContext(), derive_seed("a"))
-        b = byzantine_node_digest("random-digest", self.HONEST, RoundContext(), derive_seed("b"))
-        assert a != b and a != self.HONEST
-
-    def test_stale_uses_previous_round(self):
-        prev = derive_seed("prev")
-        ctx = RoundContext(prev_digest=prev)
-        assert byzantine_node_digest("stale-digest", self.HONEST, ctx, derive_seed("x")) == prev
+        a = byzantine_node_digest("random-digest", derive_seed("a"))
+        b = byzantine_node_digest("random-digest", derive_seed("b"))
+        assert a != b and HONEST[1] not in (a, b) and len(a) == 32
 
     def test_stale_without_history_falls_back_to_random(self):
-        out = byzantine_node_digest("stale-digest", self.HONEST, RoundContext(), derive_seed("y"))
-        assert out != self.HONEST and len(out) == 32
+        assert committee_forgery("stale-digest", HONEST[0], None, SEED, 0.5) is None
+        out = byzantine_node_digest("stale-digest", derive_seed("y"))
+        assert out != HONEST[1] and len(out) == 32
+        assert out != byzantine_node_digest("random-digest", derive_seed("y"))
 
-
-class TestSharedForgery:
-    HONEST = derive_seed("honest-digest")
-
-    @pytest.mark.parametrize("strategy", NODE_STRATEGIES)
-    @pytest.mark.parametrize("prev", [None, derive_seed("prev")])
-    @pytest.mark.parametrize("colluding", [None, derive_seed("colluding")])
-    def test_agrees_with_node_digest(self, strategy, prev, colluding):
-        ctx = RoundContext(prev_digest=prev, colluding_digest=colluding)
-        shared = shared_forgery(strategy, ctx)
-        digests = [
-            byzantine_node_digest(strategy, self.HONEST, ctx, derive_seed("node", i))
-            for i in range(5)
-        ]
-        if shared is not None:
-            assert digests == [shared] * 5
-        else:
-            assert len(set(digests)) == 5 and self.HONEST not in digests
-        expected = {
-            "random-digest": None,
-            "stale-digest": prev,
-            "colluding-common-digest": colluding,
-        }[strategy]
-        assert shared == expected
+    def test_colluders_have_no_per_node_digest(self):
+        with pytest.raises(ValueError):
+            byzantine_node_digest("colluding-common-digest", derive_seed("x"))
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            shared_forgery("withhold", RoundContext())
+            committee_forgery("withhold", HONEST[0], PREV, SEED, 0.5)
         with pytest.raises(ValueError):
-            byzantine_node_digest("withhold", self.HONEST, RoundContext(), derive_seed("z"))
+            lone_forgery("withhold", HONEST[0], PREV, SEED, 0.5)
+        with pytest.raises(ValueError):
+            byzantine_node_digest("withhold", derive_seed("z"))
+
+
+class TestCommitteeForgery:
+    @pytest.mark.parametrize("strategy", NODE_STRATEGIES)
+    @pytest.mark.parametrize("prev", [None, PREV])
+    def test_per_strategy(self, strategy, prev):
+        forged = committee_forgery(strategy, HONEST[0], prev, derive_seed("byz"), 0.5)
+        expected = {
+            "random-digest": None,
+            "stale-digest": prev,
+            "colluding-common-digest": POISON,
+        }[strategy]
+        if expected is None:
+            assert forged is None
+        else:
+            assert forged[1] == expected[1] != HONEST[1]
+            assert state_digest(*forged[0]) == forged[1]  # the forgery is revealable
+
+    def test_colluding_forgery_is_seeded(self):
+        a = committee_forgery("colluding-common-digest", HONEST[0], None, derive_seed("a"), 0.5)
+        b = committee_forgery("colluding-common-digest", HONEST[0], None, derive_seed("b"), 0.5)
+        assert a[1] != b[1]
+
+
+class TestLoneForgery:
+    @pytest.mark.parametrize("strategy", NODE_STRATEGIES)
+    @pytest.mark.parametrize("prev", [None, PREV])
+    def test_per_strategy(self, strategy, prev):
+        forged = lone_forgery(strategy, HONEST[0], prev, derive_seed("byz"), 0.5)
+        # a lone executor always hands back a revealable state that is not the honest one
+        expected = prev if strategy == "stale-digest" and prev is not None else POISON
+        assert forged[1] == expected[1] != HONEST[1]
+        assert state_digest(*forged[0]) == forged[1]
 
 
 class TestPoisonedState:
@@ -163,12 +173,6 @@ class TestSellerStrategies:
         expected = local_update(self.w, flipped_shard, seed=self.seed)
         out = malicious_seller_update("label-flip", self.w, self.shard, self.seed)
         assert np.array_equal(out, expected)
-
-    def test_random_gradient_matches_configured_norm(self):
-        out = malicious_seller_update(
-            "random-gradient", self.w, self.shard, self.seed, target_norm=2.5
-        )
-        assert abs(np.linalg.norm(out) - 2.5) < 1e-9
 
     def test_random_gradient_defaults_to_honest_norm(self):
         honest = local_update(self.w, self.shard, seed=self.seed)

@@ -154,6 +154,29 @@ class TestAllByzantineCommittee:
         assert last["scores"][last["accepted"]] == max(last["scores"].values())
 
 
+class TestByzantineLoneExecutor:
+    def run(self, strategy):
+        scenario = quick_scenario(
+            ablation="no-consensus",
+            t_max=5,
+            adversary=AdversaryConfig(node_fraction=1.0, node_strategy=strategy),
+        )
+        return run_core(scenario)
+
+    def test_forged_state_adopted_every_round(self):
+        random, colluding = self.run("random-digest"), self.run("colluding-common-digest")
+        assert len(random.records) == 5
+        # both hand back the same poisoned state, and no round adopts the honest one
+        assert random.records == colluding.records
+        assert random.wrong_adoptions == 5
+        assert not any(rec["honest_adopted"] for rec in random.records)
+
+    def test_stale_replays_one_state(self):
+        result = self.run("stale-digest")
+        assert len(result.records) == 5 and result.wrong_adoptions == 5
+        assert len({rec["accepted_digest"] for rec in result.records}) == 1
+
+
 class TestAblations:
     def test_no_consensus_uses_single_executor(self):
         scenario = quick_scenario(ablation="no-consensus")
@@ -188,8 +211,8 @@ class TestStaleAdversary:
         # a stale win re-adopts the previous round's state; digests then repeat
         digests = [r["accepted_digest"] for r in result.records]
         assert len(digests) == 6
-        if result.wrong_adoptions:
-            assert any(a == b for a, b in zip(digests, digests[1:]))
+        assert result.wrong_adoptions > 0
+        assert any(a == b for a, b in zip(digests, digests[1:]))
 
 
 class TestPipeline:
@@ -334,6 +357,11 @@ class TestScenarioConfig:
             "timeout_blocks = 0",
             "timeout_blocks = -3",
             "competing_bids = 0",
+            "hidden_units = -1",
+            "data.classes = 1",
+            "train.batch = 0",
+            "train.epochs = -1",
+            "data.utility_eval_rows = -5",
         ],
     )
     def test_bad_protocol_value_fails_at_load(self, tmp_path, line):
