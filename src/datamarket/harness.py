@@ -23,14 +23,7 @@ from . import adversary as adv
 from .consensus import AgreementOutcome, ConsensusParams, agree, sortition, threshold
 # bench/tracing.py times the consensus layer through these harness names.
 from .consensus import best_digest, decide, likelihood_scores  # noqa: F401
-from .economics import (
-    PayoffParams,
-    PayoffReport,
-    RevenueReport,
-    analyze_payoffs,
-    distribute_revenue,
-    geometric_catch_prob,
-)
+from .economics import PayoffReport, RevenueReport, analyze_payoffs, distribute_revenue
 from .errors import NoConsensus
 from .fedcore import FederatedRoundResult, run_federated_round
 from .ledger import Ledger
@@ -83,16 +76,14 @@ class PipelineResult:
 
 def build_splits(scenario: Scenario) -> DatasetSplits:
     """Materialize the scenario's dataset: synthetic clusters or IDX files."""
-    if scenario.data.kind == "synthetic":
-        return synth_dataset(
-            scenario.synth_spec(),
-            scenario.data.rows,
-            derive_seed(scenario.root_seed, "dataset"),
-        )
     if scenario.data.kind == "idx":
         full = load_idx(scenario.data.images, scenario.data.labels)
         return split_dataset(full)
-    raise ValueError(f"unknown dataset kind {scenario.data.kind!r}")
+    return synth_dataset(
+        scenario.synth_spec(),
+        scenario.data.rows,
+        derive_seed(scenario.root_seed, "dataset"),
+    )
 
 
 def _ids(prefix: str, count: int) -> tuple[str, ...]:
@@ -425,19 +416,9 @@ def run_auction_to_completion(
     revenue = distribute_revenue(won_request.amount, contribs, node_counts)
     ledger.payout_escrow(settlement, revenue.transfers)
 
-    beta = scenario.consensus.confidence_beta
     rounds_for_analysis = max((rec["mini_rounds"] for rec in run.records), default=1)
     payoff = analyze_payoffs(
-        PayoffParams(
-            seller_pool=float(revenue.seller_share),
-            node_pool=float(revenue.node_share),
-            node_count=scenario.nodes,
-            bribe=scenario.analysis.bribe,
-            quality_honest=scenario.analysis.quality_honest,
-            quality_claimed=scenario.analysis.quality_claimed,
-            success_prob=beta,
-            catch_prob=geometric_catch_prob(scenario.analysis.detect_rate),
-        ),
+        scenario.payoff_params(float(revenue.seller_share), float(revenue.node_share)),
         rounds=rounds_for_analysis,
     )
     sink.emit(

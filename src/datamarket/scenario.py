@@ -14,12 +14,14 @@ from pathlib import Path
 
 from .adversary import AdversaryConfig
 from .consensus import ConsensusParams, threshold
+from .economics import PayoffParams, geometric_catch_prob
 from .fedcore import OsmdConfig
 from .ledger import DataRequest
 from .rng import derive_seed
 from .training import ModelSpec, SynthSpec
 
 ABLATIONS = ("none", "no-krum", "no-consensus")
+DATA_KINDS = ("synthetic", "idx")
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("train.epochs and train.batch must be >= 1")
+        if not self.lr > 0:
+            raise ValueError("train.lr must be > 0")
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,20 @@ class DataConfig:
     registry_tags: tuple[str, ...] = ()  # dataset tags sellers register; () = request tags
 
     def __post_init__(self):
+        if self.kind not in DATA_KINDS:
+            raise ValueError(f"unknown data.kind {self.kind!r}")
         if self.classes < 2:
             raise ValueError("data.classes must be >= 2")
         if self.utility_eval_rows < 0:
             raise ValueError("data.utility_eval_rows must be >= 0")
+        if not self.partition_alpha > 0:
+            raise ValueError("data.partition_alpha must be > 0")
+        if self.kind == "synthetic":
+            if self.dims < self.classes:
+                raise ValueError("synthetic data needs data.dims >= data.classes")
+            # the 80/10/10 split leaves the validation and test sets empty below 10 rows
+            if self.rows < max(10, self.classes):
+                raise ValueError("synthetic data needs data.rows >= max(10, data.classes)")
 
 
 @dataclass(frozen=True)
@@ -118,6 +132,7 @@ class Scenario:
         # adversary, train and data sections check themselves; each rival
         # bid is a request.
         threshold(self.consensus_params())
+        self.payoff_params(seller_pool=0.0, node_pool=0.0)
         request = self.data_request()
         for amount in self.competing_bids:
             dataclasses.replace(request, amount=amount)
@@ -138,6 +153,19 @@ class Scenario:
             byz_fraction_max=self.consensus.byz_fraction_max,
             confidence_beta=self.consensus.confidence_beta,
             base_size=base,
+        )
+
+    def payoff_params(self, seller_pool: float, node_pool: float) -> PayoffParams:
+        """The payoff game of a run whose revenue split paid out these pools."""
+        return PayoffParams(
+            seller_pool=seller_pool,
+            node_pool=node_pool,
+            node_count=self.nodes,
+            bribe=self.analysis.bribe,
+            quality_honest=self.analysis.quality_honest,
+            quality_claimed=self.analysis.quality_claimed,
+            success_prob=self.consensus.confidence_beta,
+            catch_prob=geometric_catch_prob(self.analysis.detect_rate),
         )
 
     def synth_spec(self) -> SynthSpec:

@@ -1,8 +1,9 @@
 """Minimal differentiable models, datasets, and canonical state hashing.
 
-The default model is multinomial logistic regression (optionally with one
-tanh hidden layer), trained by plain mini-batch gradient descent so that
-every executor reproduces bit-identical weights from the same seed.
+The model is a tanh network written once, as a loop over its layers; the
+default, multinomial logistic regression, is its one-layer case.  Plain
+mini-batch gradient descent lets every executor reproduce bit-identical
+weights from the same seed.
 """
 
 from __future__ import annotations
@@ -33,18 +34,15 @@ UTILITY_BLOCK_FLOATS = 1 << 15
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture descriptor: layer dims plus hidden activation."""
+    """Architecture descriptor: input and class dims, optional tanh hidden width."""
 
     input_dim: int
     class_count: int
     hidden: int = 0
-    activation: str = "tanh"
 
     def __post_init__(self):
         if self.input_dim < 1 or self.class_count < 2 or self.hidden < 0:
             raise ValueError("invalid model dimensions")
-        if self.hidden and self.activation != "tanh":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -54,10 +52,8 @@ class ModelSpec:
 
     @property
     def param_count(self) -> int:
-        d, c, h = self.input_dim, self.class_count, self.hidden
-        if h:
-            return d * h + h + h * c + c
-        return d * c + c
+        dims = self.layer_dims
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
 
 
 @dataclass(frozen=True)
@@ -136,27 +132,28 @@ def init_weights(spec: ModelSpec, seed: bytes) -> ModelWeights:
     if spec.hidden == 0:
         return ModelWeights(np.zeros(spec.param_count), spec)
     rng = rng_from(seed)
-    d, h, c = spec.input_dim, spec.hidden, spec.class_count
-    parts = [
-        rng.normal(0.0, 1.0 / np.sqrt(d), size=d * h),
-        np.zeros(h),
-        rng.normal(0.0, 1.0 / np.sqrt(h), size=h * c),
-        np.zeros(c),
-    ]
+    dims = spec.layer_dims
+    parts = []
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        parts.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=fan_in * fan_out))
+        parts.append(np.zeros(fan_out))
     return ModelWeights(np.concatenate(parts), spec)
 
 
-def _unpack(w: ModelWeights):
-    d, c, h = w.spec.input_dim, w.spec.class_count, w.spec.hidden
-    v = w.values
-    if h == 0:
-        return v[: d * c].reshape(d, c), v[d * c :]
+def _layers(values: np.ndarray, dims: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (matrix, bias): views of a flat [W1, b1, W2, b2, ...] vector.
+
+    A (k, P) stack gives each row's layers at once, with a leading axis of k.
+    """
+    lead = values.shape[:-1]
+    layers = []
     o = 0
-    w1 = v[o : o + d * h].reshape(d, h); o += d * h
-    b1 = v[o : o + h]; o += h
-    w2 = v[o : o + h * c].reshape(h, c); o += h * c
-    b2 = v[o:]
-    return w1, b1, w2, b2
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        matrix = values[..., o : o + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
+        o += fan_in * fan_out
+        layers.append((matrix, values[..., o : o + fan_out]))
+        o += fan_out
+    return layers
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -165,59 +162,46 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _forward(layers, features: np.ndarray):
+    """Logits and each layer's input: the features, then every tanh hidden layer."""
+    inputs = [features]
+    for matrix, bias in layers[:-1]:
+        inputs.append(np.tanh(inputs[-1] @ matrix + bias))
+    matrix, bias = layers[-1]
+    return inputs[-1] @ matrix + bias, inputs
+
+
 def predict_logits(w: ModelWeights, features: np.ndarray) -> np.ndarray:
-    if w.spec.hidden == 0:
-        mat, bias = _unpack(w)
-        return features @ mat + bias
-    w1, b1, w2, b2 = _unpack(w)
-    return np.tanh(features @ w1 + b1) @ w2 + b2
+    return _forward(_layers(w.values, w.spec.layer_dims), features)[0]
 
 
-def _forward(w: ModelWeights, features: np.ndarray):
-    """Class probabilities and, for the MLP, the hidden activations."""
-    if w.spec.hidden == 0:
-        mat, bias = _unpack(w)
-        return _softmax(features @ mat + bias), None
-    w1, b1, w2, b2 = _unpack(w)
-    hidden = np.tanh(features @ w1 + b1)
-    return _softmax(hidden @ w2 + b2), hidden
-
-
-def _backward(
-    w: ModelWeights,
-    features: np.ndarray,
-    labels: np.ndarray,
-    probs: np.ndarray,
-    hidden: np.ndarray | None,
-) -> np.ndarray:
-    """Flat gradient of the mean cross-entropy; overwrites probs."""
+def _backward(layers, inputs, labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Flat gradient of the mean cross-entropy, last layer first; overwrites probs."""
     n = len(labels)
     probs[np.arange(n), labels] -= 1.0
-    probs_err = probs / n
-    if hidden is None:
-        return np.concatenate([(features.T @ probs_err).ravel(), probs_err.sum(axis=0)])
-    w2 = _unpack(w)[2]
-    d_hidden = (probs_err @ w2.T) * (1.0 - hidden**2)
-    return np.concatenate(
-        [
-            (features.T @ d_hidden).ravel(),
-            d_hidden.sum(axis=0),
-            (hidden.T @ probs_err).ravel(),
-            probs_err.sum(axis=0),
-        ]
-    )
+    err = probs / n
+    grads = []
+    for k in reversed(range(len(layers))):
+        grads[:0] = [(inputs[k].T @ err).ravel(), err.sum(axis=0)]
+        if k:
+            err = (err @ layers[k][0].T) * (1.0 - inputs[k] ** 2)
+    return np.concatenate(grads)
 
 
 def gradient(w: ModelWeights, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Gradient of the mean cross-entropy loss as a flat vector."""
-    return _backward(w, features, labels, *_forward(w, features))
+    layers = _layers(w.values, w.spec.layer_dims)
+    logits, inputs = _forward(layers, features)
+    return _backward(layers, inputs, labels, _softmax(logits))
 
 
 def loss_and_grad(w: ModelWeights, features: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy loss and its gradient as a flat vector."""
-    probs, hidden = _forward(w, features)
+    layers = _layers(w.values, w.spec.layer_dims)
+    logits, inputs = _forward(layers, features)
+    probs = _softmax(logits)
     loss = -np.log(probs[np.arange(len(labels)), labels] + 1e-300).mean()
-    return loss, _backward(w, features, labels, probs, hidden)
+    return loss, _backward(layers, inputs, labels, probs)
 
 
 def local_update(
@@ -273,15 +257,10 @@ def utility(spec: ModelSpec, stack: np.ndarray, eval_set: LabeledDataset) -> np.
         raise DimensionMismatch(
             f"expected a (k, {spec.param_count}) weight stack, got {stack.shape}"
         )
-    k = len(stack)
-    d, c, h = spec.input_dim, spec.class_count, spec.hidden
-    width = h or c
-    first = stack[:, : d * width].reshape(k, d, width).transpose(1, 0, 2).reshape(d, k * width)
-    first_bias = stack[:, d * width : d * width + width].reshape(k * width)
-    if h:
-        o = d * h + h
-        second = stack[:, o : o + h * c].reshape(k, h, c)
-        second_bias = stack[:, None, o + h * c :]
+    (first, first_bias), *rest = _layers(stack, spec.layer_dims)
+    k, d, width = first.shape
+    first = first.transpose(1, 0, 2).reshape(d, k * width)
+    first_bias = first_bias.reshape(k * width)
     n = len(eval_set)
     rows = max(1, UTILITY_BLOCK_FLOATS // (k * width))
     block = np.empty((min(rows, n), k * width))
@@ -293,13 +272,12 @@ def utility(spec: ModelSpec, stack: np.ndarray, eval_set: LabeledDataset) -> np.
         z = block[:m]
         np.matmul(x, first, out=z)
         z += first_bias
-        per_model = z.reshape(m, k, width).transpose(1, 0, 2)
-        if h:
-            np.tanh(z, out=z)
-            logits = np.matmul(per_model, second)
-            logits += second_bias
-        else:
-            logits = per_model
+        logits = z.reshape(m, k, width).transpose(1, 0, 2)  # (k, m, width) view of z
+        for matrix, bias in rest:
+            np.tanh(z, out=z)  # in place, so logits sees it
+            z = np.matmul(logits, matrix)
+            z += bias[:, None, :]
+            logits = z
         top = logits.max(axis=2)
         shifted = logits - top[:, :, None]
         np.exp(shifted, out=shifted)
@@ -323,7 +301,7 @@ def state_digest(w: ModelWeights, p: np.ndarray, counts: np.ndarray) -> bytes:
     dims = w.spec.layer_dims
     h.update(struct.pack("<I", len(dims)))
     h.update(struct.pack(f"<{len(dims)}I", *dims))
-    act = w.spec.activation.encode() if w.spec.hidden else b""
+    act = b"tanh" if w.spec.hidden else b""
     h.update(struct.pack("<I", len(act)))
     h.update(act)
     for arr in (w.values, p):

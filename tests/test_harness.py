@@ -362,6 +362,14 @@ class TestScenarioConfig:
             "train.batch = 0",
             "train.epochs = -1",
             "data.utility_eval_rows = -5",
+            "analysis.detect_rate = 2",
+            "analysis.quality_claimed = 0.5",
+            "analysis.bribe = -1",
+            "data.kind = parquet",
+            "data.partition_alpha = 0",
+            "data.dims = 2",
+            "data.rows = 9",
+            "train.lr = -1",
         ],
     )
     def test_bad_protocol_value_fails_at_load(self, tmp_path, line):

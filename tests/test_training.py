@@ -115,6 +115,17 @@ class TestLocalUpdate:
         assert after < before
 
 
+class TestPredictLogits:
+    def test_mlp_follows_flat_layout(self):
+        # the flat parameter vector is [W1, b1, W2, b2], each matrix row-major
+        rng = rng_from(derive_seed("layout"))
+        w1, b1 = rng.normal(size=(5, 4)), rng.normal(size=4)
+        w2, b2 = rng.normal(size=(4, 3)), rng.normal(size=3)
+        w = ModelWeights(np.concatenate([w1.ravel(), b1, w2.ravel(), b2]), ModelSpec(5, 3, hidden=4))
+        x = rng.normal(size=(20, 5))
+        assert np.array_equal(predict_logits(w, x), np.tanh(x @ w1 + b1) @ w2 + b2)
+
+
 class TestEvaluateMetric:
     def test_constant_majority_on_balanced_binary(self):
         features = np.zeros((10, 2))
@@ -237,6 +248,11 @@ class TestStateDigest:
         digest = state_digest(self.w, self.p, self.counts)
         assert digest.hex() == GOLDEN_DIGEST
 
+    def test_golden_value_with_hidden_layer(self):
+        # pins the three layer dims and the tanh tag of an MLP's encoding
+        mlp = ModelWeights(np.arange(14) / 13.0, ModelSpec(3, 2, hidden=2))
+        assert state_digest(mlp, self.p, self.counts).hex() == GOLDEN_MLP_DIGEST
+
     def test_non_finite_rejected(self):
         bad = ModelWeights(np.array([np.nan] + [0.0] * 7), self.spec)
         with pytest.raises(NonFiniteState):
@@ -252,6 +268,7 @@ class TestStateDigest:
 
 
 GOLDEN_DIGEST = "bfce8b31c76a058b446a9186b48c37af015f9a458fea5ecaa232532454d4f234"
+GOLDEN_MLP_DIGEST = "7b933f434a0399473e8df175820ff2e715318158a70ba4fac939c98423d450eb"
 
 
 def write_idx_pair(tmp_path, images, labels):
