@@ -50,26 +50,9 @@ def _cmd_run(args) -> int:
     sink.write(out / "events.jsonl")
     (out / "ledger.json").write_text(result.ledger.snapshot_json())
     (out / "tx_log.ndjson").write_text(result.ledger.tx_log_ndjson() + "\n")
-    summary = {
-        "refunded": result.refunded,
-        "winner": result.winner,
-        "revenue": None,
-        "payoff": result.payoff.to_dict() if result.payoff else None,
-        "rounds": len(result.run.records) if result.run else 0,
-        "final_validation_accuracy": result.run.final_validation_accuracy if result.run else None,
-        "final_test_accuracy": result.run.final_test_accuracy if result.run else None,
-        "termination": result.run.termination if result.run else None,
-        "wall_time_s": result.run.wall_time_s if result.run else None,
-    }
-    if result.revenue:
-        summary["revenue"] = {
-            "bid_amount": result.revenue.bid_amount,
-            "node_share": result.revenue.node_share,
-            "seller_share": result.revenue.seller_share,
-        }
+    summary = result.summary()
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    print(f"run complete: {len(result.run.records) if result.run else 0} rounds, "
-          f"outputs in {out}")
+    print(f"run complete: {summary['rounds']} rounds, outputs in {out}")
     if result.run:
         print(f"final test accuracy: {result.run.final_test_accuracy:.4f}")
     return 0

@@ -73,6 +73,20 @@ class PipelineResult:
     winner: str | None
     refunded: bool
 
+    def summary(self) -> dict:
+        """The outcome ``datamarket run`` writes to ``summary.json``."""
+        run, revenue = self.run, self.revenue
+        shares = ("bid_amount", "node_share", "seller_share")
+        outcome = ("final_validation_accuracy", "final_test_accuracy", "termination", "wall_time_s")
+        return {
+            "refunded": self.refunded,
+            "winner": self.winner,
+            "revenue": {name: getattr(revenue, name) for name in shares} if revenue else None,
+            "payoff": self.payoff.to_dict() if self.payoff else None,
+            "rounds": len(run.records) if run else 0,
+            **{name: getattr(run, name) if run else None for name in outcome},
+        }
+
 
 def build_splits(scenario: Scenario) -> DatasetSplits:
     """Materialize the scenario's dataset: synthetic clusters or IDX files."""
@@ -220,8 +234,7 @@ def run_core(
             auction_window=scenario.auction_window,
             commit_timeout=scenario.timeout_blocks,
         )
-        for nid in market.node_ids:
-            ledger.register_node(nid)
+        ledger.register_nodes(market.node_ids)
 
     tau = scenario.request.threshold
     participation: dict[str, int] = {nid: 0 for nid in market.node_ids}
@@ -355,6 +368,10 @@ def run_auction_to_completion(
 ) -> PipelineResult:
     """Full pipeline: registration, auction, training consensus, payout."""
     sink = sink if sink is not None else MetricsSink()
+    # The dataset is built before the first ledger call, so a dataset that
+    # cannot be built leaves nothing registered or minted.
+    splits = build_splits(scenario)
+    shards = _seller_shards(scenario, splits)
     ledger = Ledger(
         seed=scenario.seed,
         auction_window=scenario.auction_window,
@@ -372,11 +389,7 @@ def run_auction_to_completion(
         rivals.append((rival, amount))
 
     seller_ids = [ledger.register_user(sid, is_buyer=False) for sid in _ids("s", scenario.sellers)]
-    for nid in _ids("n", scenario.nodes):
-        ledger.register_node(nid)
-
-    splits = build_splits(scenario)
-    shards = _seller_shards(scenario, splits)
+    ledger.register_nodes(_ids("n", scenario.nodes))
     registry_tags = frozenset(scenario.data.registry_tags) or request.tags
     for sid, shard in zip(seller_ids, shards):
         ledger.register_dataset(sid, registry_tags, len(shard))

@@ -1,9 +1,10 @@
 """Simulated single-writer blockchain: balances, auctions, escrow, commits.
 
 All state changes go through the public methods below, which either apply
-fully or raise without side effects, and are appended to a replayable
-transaction log, the ledger's only record.  Token conservation is exact:
-minted supply always equals balances plus escrow plus collected fees.
+fully or raise without side effects; each successful call appends one
+entry to a replayable transaction log, the ledger's only record.  Token
+conservation is exact: minted supply always equals balances plus escrow
+plus collected fees.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .consensus import CommitRecord
@@ -107,7 +107,7 @@ class _ExecutionSlot:
     members: tuple[str, ...]
     member_set: frozenset[str]
     deadline: int
-    commits: dict[str, CommitRecord] = field(default_factory=dict)
+    commits: dict[str, bytes] = field(default_factory=dict)  # node -> digest, in commit order
 
 
 @dataclass
@@ -115,6 +115,9 @@ class _Settlement:
     amount: int
     winner: str
     tags: frozenset[str]
+
+
+_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Ledger:
@@ -139,15 +142,10 @@ class Ledger:
         self.active_auctions: dict[frozenset[str], AuctionState] = {}
         self.settlements: dict[int, _Settlement] = {}
         self.execution_slots: dict[tuple[int, int], _ExecutionSlot] = {}
-        self.tx_log: list[dict] = [
-            {
-                "op": "genesis",
-                "seed": seed,
-                "auction_window": auction_window,
-                "commit_timeout": commit_timeout,
-                "tx_fee": tx_fee,
-            }
-        ]
+        self.tx_log: list[dict] = [{
+            "op": "genesis", "seed": seed, "auction_window": auction_window,
+            "commit_timeout": commit_timeout, "tx_fee": tx_fee,
+        }]
         self.total_supply = 0
         self.fees_collected = 0
         self._next_settlement = 0
@@ -173,11 +171,21 @@ class Ledger:
         return user_id
 
     def register_node(self, node_id: str) -> str:
-        if node_id in self.accounts:
-            raise DuplicateId(f"account {node_id!r} already registered")
-        self.accounts[node_id] = Account(id=node_id, balance=0, role=Role.NODE)
-        self._log("register_node", node_id=node_id)
+        """Register one compute node; see register_nodes."""
+        self.register_nodes([node_id])
         return node_id
+
+    def register_nodes(self, node_ids: Iterable[str]) -> None:
+        """Register compute nodes as one transaction; a repeated or known id refuses them all."""
+        node_ids = list(node_ids)
+        batch: set[str] = set()
+        for node_id in node_ids:
+            if node_id in self.accounts or node_id in batch:
+                raise DuplicateId(f"account {node_id!r} already registered")
+            batch.add(node_id)
+        for node_id in node_ids:
+            self.accounts[node_id] = Account(id=node_id, balance=0, role=Role.NODE)
+        self._log("register_nodes", node_ids=node_ids)
 
     def mint(self, account_id: str, amount: int) -> None:
         """Issue new tokens to an account; grows the tracked supply."""
@@ -259,9 +267,7 @@ class Ledger:
             auction.escrowed = request.amount
             auction.request = request
         if _record:
-            self._log(
-                "place_bid", request=request.to_dict(), caller=caller, accepted=accepted
-            )
+            self._log("place_bid", request=request.to_dict(), caller=caller, accepted=accepted)
         return accepted
 
     def close_auction(
@@ -311,11 +317,8 @@ class Ledger:
         for account_id, value in transfers.items():
             self.accounts[account_id].balance += value
         del self.settlements[settlement_id]
-        self._log(
-            "payout_escrow",
-            settlement_id=settlement_id,
-            transfers={k: transfers[k] for k in sorted(transfers)},
-        )
+        transfers = dict(sorted(transfers.items()))
+        self._log("payout_escrow", settlement_id=settlement_id, transfers=transfers)
 
     def refund_settlement(self, settlement_id: int) -> None:
         """Return a settlement's escrow to the winning bidder untouched."""
@@ -353,7 +356,9 @@ class Ledger:
 
         A batch at or after the slot's deadline is refused whole.  Otherwise
         the batch is validated first: every node must be a member that has
-        not committed yet and appears once in the batch.
+        not committed yet and appears once in the batch.  The batch is
+        logged as one entry: its distinct digests once each, in first-seen
+        order, and each commit as ``[node, index into digests]``.
         """
         slot = self.execution_slots.get((round, mini_round))
         if slot is None:
@@ -367,18 +372,23 @@ class Ledger:
             if node in slot.commits or node in batch:
                 raise DoubleCommit(f"{node!r} already committed for ({round}, {mini_round})")
             batch.add(node)
-        hexed = {digest: digest.hex() for digest in {digest for _, digest in commits}}
+        index: dict[bytes, int] = {}
         for node, digest in commits:
-            slot.commits[node] = CommitRecord(mini_round=mini_round, digest=digest, node=node)
-            self._log(
-                "commit_digest", node=node, round=round, mini_round=mini_round, digest=hexed[digest]
-            )
+            slot.commits[node] = digest
+            index.setdefault(digest, len(index))
+        self._log(
+            "commit_digests", round=round, mini_round=mini_round,
+            digests=[digest.hex() for digest in index],
+            commits=[[node, index[digest]] for node, digest in commits],
+        )
 
     def commits_for(self, round: int, mini_round: int) -> list[CommitRecord]:
+        """The slot's commits in member order."""
         slot = self.execution_slots.get((round, mini_round))
         if slot is None:
             return []
-        return [slot.commits[node] for node in slot.members if node in slot.commits]
+        done = slot.commits
+        return [CommitRecord(mini_round, done[node], node) for node in slot.members if node in done]
 
     # -- block production -----------------------------------------------
 
@@ -435,10 +445,10 @@ class Ledger:
         }
 
     def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True, indent=2)
+        return _compact_json(self.snapshot())
 
     def tx_log_ndjson(self) -> str:
-        return "\n".join(json.dumps(entry, sort_keys=True) for entry in self.tx_log)
+        return "\n".join(map(_compact_json, self.tx_log))
 
     @classmethod
     def replay(cls, ndjson: str) -> "Ledger":
@@ -447,50 +457,37 @@ class Ledger:
         if not lines or lines[0]["op"] != "genesis":
             raise ValueError("transaction log must start with a genesis record")
         genesis = lines[0]
-        ledger = cls(
-            seed=genesis["seed"],
-            auction_window=genesis["auction_window"],
-            commit_timeout=genesis["commit_timeout"],
-            tx_fee=genesis["tx_fee"],
-        )
-        for slot, run in groupby(lines[1:], key=_commit_slot):
-            if slot is not None:
-                commits = [(entry["node"], bytes.fromhex(entry["digest"])) for entry in run]
-                ledger.commit_digests(*slot, commits)
-                continue
-            for entry in run:
-                op = entry["op"]
-                if op == "register_user":
-                    ledger.register_user(entry["user_id"], entry["is_buyer"])
-                elif op == "register_node":
-                    ledger.register_node(entry["node_id"])
-                elif op == "mint":
-                    ledger.mint(entry["account_id"], entry["amount"])
-                elif op == "register_dataset":
-                    ledger.register_dataset(entry["seller"], entry["tags"], entry["size"])
-                elif op == "start_auction":
-                    ledger.start_auction(DataRequest.from_dict(entry["request"]), entry["caller"])
-                elif op == "place_bid":
-                    ledger.place_bid(DataRequest.from_dict(entry["request"]), entry["caller"])
-                elif op == "close_auction":
-                    ledger.close_auction(entry["tags"])
-                elif op == "payout_escrow":
-                    ledger.payout_escrow(entry["settlement_id"], entry["transfers"])
-                elif op == "refund_settlement":
-                    ledger.refund_settlement(entry["settlement_id"])
-                elif op == "publish_execution_set":
-                    ledger.publish_execution_set(
-                        entry["round"], entry["mini_round"], entry["members"]
-                    )
-                elif op == "advance_block":
-                    ledger.advance_block()
-                else:
-                    raise ValueError(f"unknown op {op!r} in transaction log")
+        keys = ("seed", "auction_window", "commit_timeout", "tx_fee")
+        ledger = cls(**{key: genesis[key] for key in keys})
+        for entry in lines[1:]:
+            op = entry["op"]
+            if op == "register_user":
+                ledger.register_user(entry["user_id"], entry["is_buyer"])
+            elif op == "register_nodes":
+                ledger.register_nodes(entry["node_ids"])
+            elif op == "mint":
+                ledger.mint(entry["account_id"], entry["amount"])
+            elif op == "register_dataset":
+                ledger.register_dataset(entry["seller"], entry["tags"], entry["size"])
+            elif op == "start_auction":
+                ledger.start_auction(DataRequest.from_dict(entry["request"]), entry["caller"])
+            elif op == "place_bid":
+                ledger.place_bid(DataRequest.from_dict(entry["request"]), entry["caller"])
+            elif op == "close_auction":
+                ledger.close_auction(entry["tags"])
+            elif op == "payout_escrow":
+                ledger.payout_escrow(entry["settlement_id"], entry["transfers"])
+            elif op == "refund_settlement":
+                ledger.refund_settlement(entry["settlement_id"])
+            elif op == "publish_execution_set":
+                ledger.publish_execution_set(entry["round"], entry["mini_round"], entry["members"])
+            elif op == "commit_digests":
+                digests = [bytes.fromhex(digest) for digest in entry["digests"]]
+                commits = [(node, digests[k]) for node, k in entry["commits"]]
+                ledger.commit_digests(entry["round"], entry["mini_round"], commits)
+            elif op == "advance_block":
+                ledger.advance_block()
+            else:
+                raise ValueError(f"unknown op {op!r} in transaction log")
         return ledger
 
-
-def _commit_slot(entry: dict) -> tuple[int, int] | None:
-    """Slot of a commit_digest entry, so replay can group consecutive commits."""
-    if entry["op"] == "commit_digest":
-        return entry["round"], entry["mini_round"]
-    return None

@@ -235,6 +235,34 @@ class TestPipeline:
         assert result.ledger.accounts["buyer000"].balance == 150
         assert conserved(result.ledger)
 
+    def test_missing_idx_files_fail_before_any_ledger_call(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a participant was registered before the dataset was built")
+
+        monkeypatch.setattr(Ledger, "register_user", refuse)
+        missing = DataConfig(
+            kind="idx", images=str(tmp_path / "img.idx"), labels=str(tmp_path / "lbl.idx")
+        )
+        with pytest.raises(FileNotFoundError):
+            run_auction_to_completion(quick_scenario(data=missing))
+
+    def test_summary(self):
+        result = run_auction_to_completion(quick_scenario())
+        summary = result.summary()
+        assert summary["revenue"] == {"bid_amount": 150, "node_share": 45, "seller_share": 105}
+        assert summary["payoff"] == result.payoff.to_dict()
+        assert summary["rounds"] == len(result.run.records)
+        assert summary["termination"] == result.run.termination
+        assert summary["final_test_accuracy"] == result.run.final_test_accuracy
+        refunded = run_auction_to_completion(
+            quick_scenario(data=DataConfig(rows=500, registry_tags=("unrelated",)))
+        )
+        assert refunded.summary() == {
+            "refunded": True, "winner": None, "revenue": None, "payoff": None, "rounds": 0,
+            "final_validation_accuracy": None, "final_test_accuracy": None, "termination": None,
+            "wall_time_s": None,
+        }
+
     def test_payoff_report_attached(self):
         result = run_auction_to_completion(quick_scenario())
         assert result.payoff is not None

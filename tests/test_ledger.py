@@ -55,6 +55,22 @@ class TestRegistration:
         with pytest.raises(DuplicateId):
             ledger.register_node("s1")
 
+    @pytest.mark.parametrize("batch", [["n1", "n2", "n1"], ["n1", "s1"]])
+    def test_bad_node_batch_registers_none(self, batch):
+        ledger = Ledger()
+        ledger.register_user("s1", is_buyer=False)
+        tx_log, snapshot = list(ledger.tx_log), ledger.snapshot()
+        with pytest.raises(DuplicateId):
+            ledger.register_nodes(batch)
+        assert ledger.tx_log == tx_log and ledger.snapshot() == snapshot
+
+    def test_node_batch_logs_one_entry(self):
+        ledger = Ledger()
+        ledger.register_nodes(["n0", "n1", "n2"])
+        entry = {"op": "register_nodes", "height": 0, "node_ids": ["n0", "n1", "n2"]}
+        assert ledger.tx_log[1:] == [entry]
+        assert [a.role for a in ledger.accounts.values()] == [Role.NODE] * 3
+
     def test_two_hundred_sellers(self):
         ledger = Ledger()
         for i in range(200):
@@ -355,19 +371,30 @@ class TestBatchCommits:
         assert [c.node for c in ledger.commits_for(0, 1)] == ["n0", "n2"]
         ledger.commit_digests(0, 1, [("n3", self.D), ("n1", self.D)])
         assert [c.node for c in ledger.commits_for(0, 1)] == ["n0", "n1", "n2", "n3"]
-        logged = [e["node"] for e in ledger.tx_log if e["op"] == "commit_digest"]
-        assert logged == ["n2", "n0", "n3", "n1"]
+        logged = [
+            [node for node, _ in e["commits"]] for e in ledger.tx_log if e["op"] == "commit_digests"
+        ]
+        assert logged == [["n2", "n0"], ["n3", "n1"]]
 
-    def test_batch_logs_like_single_commits(self):
-        batched, single = self.fresh(), self.fresh()
-        commits = [("n3", self.D), ("n0", derive_seed("x")), ("n1", self.D), ("n2", self.D)]
-        batched.commit_digests(0, 1, commits)
-        for node, digest in commits:
-            single.commit_digest(node, 0, 1, digest)
-        assert batched.tx_log_ndjson() == single.tx_log_ndjson()
-        assert batched.commits_for(0, 1) == single.commits_for(0, 1)
+    def test_batch_logs_one_entry(self):
+        ledger = self.fresh()
+        before = len(ledger.tx_log)
+        x = derive_seed("x")  # sorts after D, so first-seen order is not sorted order
+        ledger.commit_digests(0, 1, [("n3", x), ("n0", self.D), ("n1", self.D), ("n2", x)])
+        assert len(ledger.tx_log) == before + 1
+        assert ledger.tx_log[-1] == {
+            "op": "commit_digests",
+            "height": 0,
+            "round": 0,
+            "mini_round": 1,
+            "digests": [x.hex(), self.D.hex()],
+            "commits": [["n3", 0], ["n0", 1], ["n1", 1], ["n2", 0]],
+        }
+        assert [(c.node, c.digest) for c in ledger.commits_for(0, 1)] == [
+            ("n0", self.D), ("n1", self.D), ("n2", x), ("n3", x)
+        ]
 
-    def test_replay_groups_consecutive_commits(self):
+    def test_replay_makes_one_call_per_logged_batch(self):
         original = Ledger(seed=2, commit_timeout=3)
         for i in range(6):
             original.register_node(f"n{i}")
@@ -395,8 +422,11 @@ class TestBatchCommits:
             ((0, 1), ["n2", "n0"]),
             ((0, 2), ["n3"]),
             ((0, 1), ["n1"]),
-            ((0, 2), ["n4", "n5"]),
+            ((0, 2), ["n4"]),
+            ((0, 2), ["n5"]),
         ]
+        for key in [(0, 1), (0, 2)]:
+            assert replayed.commits_for(*key) == original.commits_for(*key)
 
 
 class TestBlocks:
@@ -483,3 +513,21 @@ class TestDeterminismAndAudit:
     def test_tx_log_is_ndjson(self):
         for line in self.drive().tx_log_ndjson().splitlines():
             json.loads(line)
+
+    def test_exports_are_compact(self):
+        ledger = self.drive()
+        for text in [ledger.snapshot_json(), *ledger.tx_log_ndjson().splitlines()]:
+            assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"op": "commit_digest", "height": 0, "node": "n0", "round": 0, "mini_round": 1,
+             "digest": "00" * 32},
+            {"op": "register_node", "height": 0, "node_id": "n9"},
+        ],
+    )
+    def test_replay_rejects_old_per_seat_ops(self, entry):
+        lines = self.drive().tx_log_ndjson().splitlines()
+        with pytest.raises(ValueError, match="unknown op"):
+            Ledger.replay("\n".join([*lines, json.dumps(entry)]))
