@@ -221,13 +221,13 @@ def local_update(
         raise EmptyShard("cannot train on an empty shard")
     rng = rng_from(seed)
     local = w.values.copy()
+    layers = _layers(local, w.spec.layer_dims)  # views, so each step sees the last
     for _ in range(epochs):
         order = rng.permutation(len(shard))
         for start in range(0, len(order), batch):
             rows = order[start : start + batch]
-            local -= lr * gradient(
-                w.with_values(local), shard.features[rows], shard.labels[rows]
-            )
+            logits, inputs = _forward(layers, shard.features[rows])
+            local -= lr * _backward(layers, inputs, shard.labels[rows], _softmax(logits))
     return local - w.values
 
 
