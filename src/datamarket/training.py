@@ -8,8 +8,12 @@ weights from the same seed.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from hashlib import sha256
 
 import numpy as np
@@ -27,9 +31,10 @@ from .rng import rng_from
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# Cap on the stacked first-layer block (eval rows x models x width) that
-# utility() holds at once: 2**15 floats, 256 KiB.
-UTILITY_BLOCK_FLOATS = 1 << 15
+# Cap on one model's first-layer product over a block of rows (rows x
+# input_dim x first width): 2**18 multiply-adds.  OpenBLAS runs a product
+# this small on the calling thread, so no BLAS worker thread is woken.
+BLOCK_MACS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,56 @@ class SynthSpec:
     def __post_init__(self):
         if self.dims < self.class_count:
             raise ValueError("need dims >= class_count for distinct cluster means")
+
+
+def block_rows(spec: ModelSpec) -> int:
+    """Eval rows per scoring block, from the first layer's shape alone."""
+    fan_in, fan_out = spec.layer_dims[:2]
+    return max(1, BLOCK_MACS // (fan_in * fan_out))
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    """The process's block workers, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="datamarket-block")
+        return _pool
+
+
+def _row_blocks(n: int, rows: int) -> list[slice]:
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _map_runs(fn, blocks: list[slice]) -> list:
+    """fn(run) over contiguous runs of blocks, joined in block order.
+
+    fn returns a list with one result per block of its run.  The runs go to
+    one worker per CPU, never more workers than blocks, and the calling
+    thread takes the first run itself; a single run uses no pool.
+    """
+    workers = max(1, min(_cpu_count(), len(blocks)))
+    cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+    runs = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+    futures = [_block_pool().submit(fn, run) for run in runs[1:]]
+    try:
+        results = fn(runs[0])
+    finally:
+        rest = [future.result() for future in futures]  # waits even if the first run raised
+    for part in rest:  # in run order, so the results stay in block order
+        results += part
+    return results
 
 
 def init_weights(spec: ModelSpec, seed: bytes) -> ModelWeights:
@@ -231,24 +286,67 @@ def local_update(
     return local - w.values
 
 
+def predict_labels(w: ModelWeights, features: np.ndarray) -> np.ndarray:
+    """Argmax class of every row, computed in the row blocks that utility() uses."""
+    layers = _layers(w.values, w.spec.layer_dims)
+
+    def run_labels(run: list[slice]) -> list[np.ndarray]:
+        return [_forward(layers, features[block])[0].argmax(axis=1) for block in run]
+
+    labels = _map_runs(run_labels, _row_blocks(len(features), block_rows(w.spec)))
+    return np.concatenate(labels) if labels else np.empty(0, dtype=np.intp)
+
+
 def evaluate_metric(w: ModelWeights, eval_set: LabeledDataset) -> float:
     """Fraction of rows whose argmax prediction matches the label."""
     if len(eval_set) == 0:
         raise EmptyEvalSet("empty evaluation set")
-    predicted = predict_logits(w, eval_set.features).argmax(axis=1)
-    return float((predicted == eval_set.labels).mean())
+    return float((predict_labels(w, eval_set.features) == eval_set.labels).mean())
+
+
+def _run_losses(
+    layers, features: np.ndarray, labels: np.ndarray, run: list[slice]
+) -> list[np.ndarray]:
+    """Summed cross-entropy of each model of a stack over each block of a run.
+
+    Each model gets its own small product per block.  Activations are held
+    as (k, units, rows), so each unit's or class's values over a block are
+    one contiguous slice: the bias adds, the class max and the class sum
+    then run along the rows instead of along the short class axis.  The
+    first layer's output, the largest array, goes into one buffer that the
+    run reuses.
+    """
+    (first, first_bias), *rest = [
+        (matrix.swapaxes(1, 2), bias[:, :, None]) for matrix, bias in layers
+    ]
+    buffer = np.empty((len(first), first.shape[1], run[0].stop - run[0].start))
+    sums = []
+    for block in run:
+        y = labels[block]
+        z = np.matmul(first, features[block].T, out=buffer[..., : len(y)])
+        z += first_bias
+        for matrix, bias in rest:
+            np.tanh(z, out=z)
+            z = np.matmul(matrix, z)
+            z += bias
+        top = z.max(axis=1)
+        shifted = z - top[:, None]
+        np.exp(shifted, out=shifted)
+        losses = np.log(shifted.sum(axis=1))
+        losses += top
+        losses -= z[:, y, np.arange(len(y))]
+        sums.append(losses.sum(axis=1))
+    return sums
 
 
 def utility(spec: ModelSpec, stack: np.ndarray, eval_set: LabeledDataset) -> np.ndarray:
     """Mean cross-entropy loss of each row of a (k, param_count) weight stack.
 
-    Lower means a better model.  One forward-only pass scores all k models:
-    their first layers sit side by side in one (d, k * width) matrix, so each
-    block of eval rows costs one matrix product (and one tanh for the MLP),
-    followed by a batched second layer.  The loss is taken from a log-sum-exp
-    of the logits.  Rows are walked in blocks of at most
-    UTILITY_BLOCK_FLOATS // (k * width) rows, which keeps the stacked hidden
-    block small and the extra memory flat in the size of the eval set.
+    Lower means a better model.  One forward-only pass scores all k models,
+    in blocks of block_rows(spec) eval rows spread over the available CPUs;
+    the loss is taken from a log-sum-exp of the logits.  The block sums are
+    added in block order, so a model's score is bit-identical whatever the
+    thread count and whatever other models share the stack.
     """
     if len(eval_set) == 0:
         raise EmptyEvalSet("empty evaluation set")
@@ -257,33 +355,12 @@ def utility(spec: ModelSpec, stack: np.ndarray, eval_set: LabeledDataset) -> np.
         raise DimensionMismatch(
             f"expected a (k, {spec.param_count}) weight stack, got {stack.shape}"
         )
-    (first, first_bias), *rest = _layers(stack, spec.layer_dims)
-    k, d, width = first.shape
-    first = first.transpose(1, 0, 2).reshape(d, k * width)
-    first_bias = first_bias.reshape(k * width)
-    n = len(eval_set)
-    rows = max(1, UTILITY_BLOCK_FLOATS // (k * width))
-    block = np.empty((min(rows, n), k * width))
-    total = np.zeros(k)
-    for start in range(0, n, rows):
-        x = eval_set.features[start : start + rows]
-        y = eval_set.labels[start : start + rows]
-        m = len(y)
-        z = block[:m]
-        np.matmul(x, first, out=z)
-        z += first_bias
-        logits = z.reshape(m, k, width).transpose(1, 0, 2)  # (k, m, width) view of z
-        for matrix, bias in rest:
-            np.tanh(z, out=z)  # in place, so logits sees it
-            z = np.matmul(logits, matrix)
-            z += bias[:, None, :]
-            logits = z
-        top = logits.max(axis=2)
-        shifted = logits - top[:, :, None]
-        np.exp(shifted, out=shifted)
-        log_norm = np.log(shifted.sum(axis=2)) + top
-        total += (log_norm - logits[:, np.arange(m), y]).sum(axis=1)
-    return total / n
+    layers = _layers(stack, spec.layer_dims)
+    run_losses = partial(_run_losses, layers, eval_set.features, eval_set.labels)
+    total = np.zeros(len(stack))
+    for block_sum in _map_runs(run_losses, _row_blocks(len(eval_set), block_rows(spec))):
+        total += block_sum
+    return total / len(eval_set)
 
 
 def state_digest(w: ModelWeights, p: np.ndarray, counts: np.ndarray) -> bytes:

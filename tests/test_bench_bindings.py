@@ -5,11 +5,13 @@ AttributeError; these tests make it fail the test suite instead.
 """
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from datamarket import cli, harness
+from conftest import quick_scenario
+from datamarket import cli, harness, training
 from datamarket.ledger import Ledger
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -50,3 +52,41 @@ def test_ledger_methods_bound(bench_modules):
     methods = [m for names in tracing.LEDGER_SPANS.values() for m in names]
     for method in methods + ["commits_for"]:
         assert method in vars(Ledger), f"Ledger.{method}"
+
+
+def test_traced_functions_run_on_the_calling_thread(bench_modules, monkeypatch):
+    # the tracer keeps one span stack, so a traced call on a block worker
+    # would corrupt it; only the private block kernels may leave the caller
+    _, tracing = bench_modules
+    caller = threading.current_thread()
+    off_thread: list[str] = []
+    kernel_threads: set[threading.Thread] = set()
+
+    class ThreadCheck(tracing.Tracer):
+        def timed(self, name, fn, before=None):
+            return self._checked(name, super().timed(name, fn, before))
+
+        def counted(self, name, fn):
+            return self._checked(name, super().counted(name, fn))
+
+        def _checked(self, name, wrapper):
+            def check(*args, **kwargs):
+                if threading.current_thread() is not caller:
+                    off_thread.append(name)
+                return wrapper(*args, **kwargs)
+
+            return check
+
+    run_losses = training._run_losses
+
+    def spy(*args, **kwargs):
+        kernel_threads.add(threading.current_thread())
+        return run_losses(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_run_losses", spy)
+    monkeypatch.setattr(training, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(training, "BLOCK_MACS", 16 * 8 * 32)  # 32-row blocks
+    with ThreadCheck().installed():
+        harness.run_auction_to_completion(quick_scenario(hidden_units=8, t_max=2))
+    assert off_thread == []
+    assert kernel_threads - {caller}, "utility never used a block worker"

@@ -13,9 +13,10 @@ from datamarket.errors import (
     NonFiniteState,
     TruncatedFile,
 )
+from datamarket import training
 from datamarket.rng import derive_seed, rng_from
 from datamarket.training import (
-    UTILITY_BLOCK_FLOATS,
+    BLOCK_MACS,
     LabeledDataset,
     ModelSpec,
     ModelWeights,
@@ -27,6 +28,7 @@ from datamarket.training import (
     load_idx,
     local_update,
     loss_and_grad,
+    predict_labels,
     predict_logits,
     state_digest,
     synth_dataset,
@@ -159,6 +161,17 @@ class TestEvaluateMetric:
         with pytest.raises(EmptyEvalSet):
             evaluate_metric(init_weights(ModelSpec(5, 3), derive_seed("m")), empty)
 
+    @pytest.mark.parametrize("hidden", [0, 7])
+    def test_blocked_predictions_match_whole_set(self, hidden):
+        spec = ModelSpec(5, 3, hidden=hidden)
+        block = BLOCK_MACS // (5 * (hidden or 3))
+        data = small_dataset(seed=hidden, rows=2 * block + block // 2 + 1)
+        rng = rng_from(derive_seed("blocked-argmax", hidden))
+        w = ModelWeights(rng.normal(size=spec.param_count), spec)
+        expected = predict_logits(w, data.features).argmax(axis=1)
+        assert np.array_equal(predict_labels(w, data.features), expected)
+        assert evaluate_metric(w, data) == float(np.mean(expected == data.labels))
+
 
 class TestUtility:
     def test_uniform_model_gives_log_classes(self):
@@ -185,8 +198,8 @@ class TestUtility:
     @pytest.mark.parametrize("models", [1, 5])
     def test_rows_match_single_model_loss(self, hidden, models):
         spec = ModelSpec(5, 3, hidden=hidden)
-        block = UTILITY_BLOCK_FLOATS // (models * (hidden or 3))
-        data = small_dataset(seed=hidden, rows=2 * block + block // 3 + 1)
+        block = BLOCK_MACS // (5 * (hidden or 3))  # rows whose first-layer product fits the cap
+        data = small_dataset(seed=hidden, rows=3 * block + block // 3 + 1)
         rng = rng_from(derive_seed("stack", hidden, models))
         stack = rng.normal(scale=0.5, size=(models, spec.param_count))
         scores = utility(spec, stack, data)
@@ -194,6 +207,39 @@ class TestUtility:
         for row, score in zip(stack, scores):
             expected, _ = loss_and_grad(ModelWeights(row, spec), data.features, data.labels)
             assert score == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("hidden", [0, 7])
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_pooled_scores_equal_one_worker(self, monkeypatch, hidden, workers):
+        spec = ModelSpec(5, 3, hidden=hidden)
+        monkeypatch.setattr(training, "BLOCK_MACS", 5 * (hidden or 3) * 16)  # 16-row blocks
+        data = small_dataset(seed=hidden, rows=16 * 19 + 5)  # 20 blocks
+        stack = rng_from(derive_seed("pooled", hidden)).normal(size=(5, spec.param_count))
+        monkeypatch.setattr(training, "_cpu_count", lambda: 1)
+        alone = utility(spec, stack, data)
+        monkeypatch.setattr(training, "_cpu_count", lambda: workers)
+        assert np.array_equal(utility(spec, stack, data), alone)
+
+    @pytest.mark.parametrize("hidden", [0, 7])
+    def test_row_scored_alone_equals_row_in_stack(self, hidden):
+        spec = ModelSpec(5, 3, hidden=hidden)
+        block = BLOCK_MACS // (5 * (hidden or 3))
+        data = small_dataset(seed=hidden, rows=2 * block + 7)
+        stack = rng_from(derive_seed("alone", hidden)).normal(size=(6, spec.param_count))
+        scores = utility(spec, stack, data)
+        for i, row in enumerate(stack):
+            assert np.array_equal(utility(spec, row[None], data), scores[i : i + 1])
+        assert np.array_equal(utility(spec, stack[[4, 1]], data), scores[[4, 1]])
+
+    def test_single_block_uses_no_pool(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("a single block must be scored on the calling thread")
+
+        monkeypatch.setattr(training, "_block_pool", no_pool)
+        monkeypatch.setattr(training, "_cpu_count", lambda: 4)
+        spec = ModelSpec(5, 3, hidden=7)
+        stack = rng_from(derive_seed("one-block")).normal(size=(3, spec.param_count))
+        assert utility(spec, stack, small_dataset(rows=100)).shape == (3,)
 
     def test_repeated_calls_bit_identical(self):
         spec = ModelSpec(5, 3, hidden=6)
