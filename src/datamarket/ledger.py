@@ -452,13 +452,19 @@ class Ledger:
 
     @classmethod
     def replay(cls, ndjson: str) -> "Ledger":
-        """Rebuild a ledger by re-applying an exported transaction log."""
+        """Rebuild a ledger by re-applying an exported transaction log.
+
+        Each re-applied call must log exactly the entry it was read from,
+        so a log with a changed height, result or extra field is refused.
+        """
         lines = [json.loads(line) for line in ndjson.splitlines() if line.strip()]
         if not lines or lines[0]["op"] != "genesis":
             raise ValueError("transaction log must start with a genesis record")
         genesis = lines[0]
         keys = ("seed", "auction_window", "commit_timeout", "tx_fee")
         ledger = cls(**{key: genesis[key] for key in keys})
+        if ledger.tx_log[0] != genesis:
+            raise ValueError("genesis record has fields other than its parameters")
         for entry in lines[1:]:
             op = entry["op"]
             if op == "register_user":
@@ -489,5 +495,11 @@ class Ledger:
                 ledger.advance_block()
             else:
                 raise ValueError(f"unknown op {op!r} in transaction log")
+            logged = ledger.tx_log[-1]
+            if logged != entry:
+                fields = sorted(k for k in logged.keys() | entry.keys() if logged.get(k) != entry.get(k))
+                raise ValueError(
+                    f"{op!r} entry {len(ledger.tx_log) - 1} does not replay as read: {fields} differ"
+                )
         return ledger
 

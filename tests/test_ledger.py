@@ -303,7 +303,8 @@ class TestCommitments:
         ledger.commit_digest("n0", 0, 1, derive_seed("d"))
         lines = ledger.tx_log_ndjson().splitlines()
         assert json.loads(lines[3])["op"] == "advance_block"
-        late = lines[:4] + lines[3:]  # a second block before the commit
+        second_block = json.dumps({**json.loads(lines[3]), "height": 2})
+        late = [*lines[:4], second_block, *lines[4:]]  # a second block before the commit
         with pytest.raises(CommitTimeout):
             Ledger.replay("\n".join(late))
 
@@ -518,6 +519,27 @@ class TestDeterminismAndAudit:
         ledger = self.drive()
         for text in [ledger.snapshot_json(), *ledger.tx_log_ndjson().splitlines()]:
             assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+
+    def tampered(self, op: str, field: str, value) -> str:
+        """The drive() log with ``field`` of the last ``op`` entry set to ``value``."""
+        entries = [json.loads(line) for line in self.drive().tx_log_ndjson().splitlines()]
+        last = max(i for i, entry in enumerate(entries) if entry["op"] == op)
+        entries[last][field] = value
+        return "\n".join(json.dumps(entry) for entry in entries)
+
+    def test_replay_rejects_tampered_height(self):
+        with pytest.raises(ValueError, match=r"'advance_block' entry \d+ .*\['height'\]"):
+            Ledger.replay(self.tampered("advance_block", "height", 9999))
+
+    @pytest.mark.parametrize("op", ["genesis", "mint", "commit_digests"])
+    def test_replay_rejects_unknown_extra_field(self, op):
+        with pytest.raises(ValueError, match="genesis" if op == "genesis" else r"\['note'\]"):
+            Ledger.replay(self.tampered(op, "note", "x"))
+
+    def test_replay_rejects_tampered_outcome(self):
+        # the ledger decides acceptance; a log claiming otherwise is refused
+        with pytest.raises(ValueError, match=r"\['accepted'\]"):
+            Ledger.replay(self.tampered("place_bid", "accepted", False))
 
     @pytest.mark.parametrize(
         "entry",
