@@ -158,17 +158,15 @@ def _block_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def _row_blocks(n: int, rows: int) -> list[slice]:
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+def _map_runs(fn, n: int, rows: int) -> list:
+    """fn(run) over contiguous runs of the blocks of ``rows`` rows of range(n).
 
-
-def _map_runs(fn, blocks: list[slice]) -> list:
-    """fn(run) over contiguous runs of blocks, joined in block order.
-
-    fn returns a list with one result per block of its run.  The runs go to
-    one worker per CPU, never more workers than blocks, and the calling
-    thread takes the first run itself; a single run uses no pool.
+    fn takes a list of block slices and returns one result per block; the
+    results are joined in block order.  The runs go to one worker per CPU,
+    never more workers than blocks, and the calling thread takes the first
+    run itself; a single run uses no pool.
     """
+    blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
     workers = max(1, min(_cpu_count(), len(blocks)))
     cuts = [len(blocks) * i // workers for i in range(workers + 1)]
     runs = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -293,7 +291,7 @@ def predict_labels(w: ModelWeights, features: np.ndarray) -> np.ndarray:
     def run_labels(run: list[slice]) -> list[np.ndarray]:
         return [_forward(layers, features[block])[0].argmax(axis=1) for block in run]
 
-    labels = _map_runs(run_labels, _row_blocks(len(features), block_rows(w.spec)))
+    labels = _map_runs(run_labels, len(features), block_rows(w.spec))
     return np.concatenate(labels) if labels else np.empty(0, dtype=np.intp)
 
 
@@ -358,7 +356,7 @@ def utility(spec: ModelSpec, stack: np.ndarray, eval_set: LabeledDataset) -> np.
     layers = _layers(stack, spec.layer_dims)
     run_losses = partial(_run_losses, layers, eval_set.features, eval_set.labels)
     total = np.zeros(len(stack))
-    for block_sum in _map_runs(run_losses, _row_blocks(len(eval_set), block_rows(spec))):
+    for block_sum in _map_runs(run_losses, len(eval_set), block_rows(spec)):
         total += block_sum
     return total / len(eval_set)
 

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from datamarket import training
 from datamarket.errors import (
     BadMagic,
     DimensionMismatch,
@@ -13,7 +14,6 @@ from datamarket.errors import (
     NonFiniteState,
     TruncatedFile,
 )
-from datamarket import training
 from datamarket.rng import derive_seed, rng_from
 from datamarket.training import (
     BLOCK_MACS,
