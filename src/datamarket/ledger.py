@@ -497,7 +497,8 @@ class Ledger:
                 raise ValueError(f"unknown op {op!r} in transaction log")
             logged = ledger.tx_log[-1]
             if logged != entry:
-                fields = sorted(k for k in logged.keys() | entry.keys() if logged.get(k) != entry.get(k))
+                names = logged.keys() | entry.keys()
+                fields = sorted(k for k in names if logged.get(k) != entry.get(k))
                 raise ValueError(
                     f"{op!r} entry {len(ledger.tx_log) - 1} does not replay as read: {fields} differ"
                 )
