@@ -77,15 +77,10 @@ def lone_forgery(
 ) -> Adopted:
     """State and digest a Byzantine single executor hands back in place of the honest ones.
 
-    With nobody to outvote it, the executor still reveals a preimage:
-    stale-digest replays the previous round's state once there is one;
-    otherwise every strategy returns a poisoned copy of the honest state.
+    With nobody to outvote it, it still reveals a preimage: the committee
+    forgery where there is one, else a poisoned copy of the honest state.
     """
-    if strategy not in NODE_STRATEGIES:
-        raise ValueError(f"unknown node strategy {strategy!r}")
-    if strategy == "stale-digest" and prev is not None:
-        return prev
-    return _poisoned(honest, seed, strength)
+    return committee_forgery(strategy, honest, prev, seed, strength) or _poisoned(honest, seed, strength)
 
 
 def byzantine_node_digest(strategy: str, seed: bytes) -> bytes:

@@ -1,4 +1,4 @@
-"""Command-line front end: run scenarios, grids, payoff analysis, self-checks."""
+"""Command-line front end: run scenarios and grids, analyze payoffs, verify a run."""
 
 from __future__ import annotations
 
@@ -7,17 +7,15 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
-import numpy as np
-
-from .consensus import ConsensusParams, acceptance_bound, execution_set_size, threshold, total_executions
-from .economics import PayoffParams, analyze_payoffs, distribute_revenue, geometric_catch_prob
-from .fedcore import corrected_krum, omd_update
+from .consensus import likelihood_scores
+from .economics import PayoffParams, analyze_payoffs, geometric_catch_prob
 from .harness import byzantine_grid, run_auction_to_completion, run_experiment_grid
-from .ledger import DataRequest, Ledger
+from .ledger import Ledger
 from .metrics import MetricsSink, rounds_csv
-from .rng import derive_seed, rng_from
 from .scenario import load_scenario
 
 
@@ -90,100 +88,69 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+class _Unreadable(Exception):
+    """A run artifact that is missing or does not parse; the message names the file."""
+
+
 def _cmd_verify(args) -> int:
-    """Fast invariant battery; exits non-zero on the first failure."""
+    """Check one run's output directory against its own records."""
+
+    @cache
+    def read(name: str):
+        try:
+            text = (Path(args.dir) / name).read_text()
+            if name.endswith(".jsonl"):
+                return [json.loads(line) for line in text.splitlines()]
+            return Ledger.replay(text) if name.endswith(".ndjson") else json.loads(text)
+        except Exception as exc:  # the directory comes from outside the program
+            raise _Unreadable(f"{name}: {type(exc).__name__}: {exc}") from None
+
+    def events(kind: str) -> list[dict]:
+        return [event for event in read("events.jsonl") if event["event"] == kind]
+
+    def conserved() -> bool:
+        ledger = read("tx_log.ndjson")
+        held = sum(a.balance for a in ledger.accounts.values()) + ledger.escrowed_total
+        return held + ledger.fees_collected == ledger.total_supply
+
+    def scored() -> bool:  # a digest accepted earlier in its round had no preimage and drops out
+        ledger, consensus = read("tx_log.ndjson"), events("consensus")
+        by_slot = {(e["round"], e["mini_round"]): e for e in consensus}
+        if len(by_slot) != len(consensus) or by_slot.keys() != ledger.execution_slots.keys():
+            return False
+        for (t, i), event in by_slot.items():
+            counts = [Counter(c.digest for c in ledger.commits_for(t, l)) for l in range(1, i + 1)]
+            sizes = [len(ledger.execution_slots[t, l].members) for l in range(1, i + 1)]
+            dropped = {by_slot[t, l]["accepted"] for l in range(1, i)}
+            scores = {k.hex(): v for k, v in likelihood_scores(counts, sizes).items()}
+            if event["scores"] != {k: v for k, v in scores.items() if k not in dropped}:
+                return False
+        return True
+
+    def adopted() -> bool:  # a round with no consensus events ran on a single executor
+        ordered = sorted(events("consensus"), key=lambda e: e["mini_round"])
+        last = {e["round"]: e["accepted"] for e in ordered}
+        digests = {r["round"]: r["accepted_digest"] for r in events("round")}
+        return all(last[t] == digest for t, digest in digests.items() if t in last)
+
+    checks = [
+        ("tx_log.ndjson replays to ledger.json",
+         lambda: read("tx_log.ndjson").snapshot() == read("ledger.json")),
+        ("tokens are conserved on the replayed ledger", conserved),
+        ("consensus events score the ledger's commits", scored),
+        ("round events adopt their last mini-round's digest", adopted),
+        ("summary.json counts the round events",
+         lambda: read("summary.json")["rounds"] == len(events("round"))),
+    ]
     failures = 0
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}")
-        failures += 0 if ok else 1
-
-    # committee growth closed forms against the doubling recurrence
-    ok = True
-    for s0 in range(1, 9):
-        sizes, step = [s0], 1
-        for _ in range(2, 16):
-            sizes.append(sizes[-1] + step)
-            step *= 2
-        for i in range(1, 16):
-            ok &= execution_set_size(i, s0) == sizes[i - 1]
-            ok &= total_executions(i, s0) == sum(sizes[:i])
-    check("committee growth closed forms", ok)
-
-    # threshold / acceptance-bound round trip
-    rng = rng_from(derive_seed("verify", "roundtrip"))
-    ok = True
-    for _ in range(200):
-        params = ConsensusParams(
-            total_nodes=int(rng.integers(2, 400)),
-            sample_fraction=float(rng.uniform(0.01, 0.99)),
-            byz_fraction_max=float(rng.uniform(0.01, 0.49)),
-            confidence_beta=float(rng.uniform(0.001, 0.499)),
-            base_size=1,
-        )
-        ok &= abs(acceptance_bound(threshold(params), params) - params.confidence_beta) < 1e-9
-    check("threshold/acceptance-bound round trip", ok)
-
-    # distribution update feasibility
-    ok = True
-    for k in range(500):
-        n = int(rng.integers(2, 40))
-        alpha = float(rng.uniform(0.0, 1.0))
-        p = rng.dirichlet(np.ones(n))
-        p = omd_update(p, np.zeros(n), 1.0, alpha)
-        u = rng.normal(scale=rng.uniform(0.1, 30.0), size=n)
-        q = omd_update(p, u, float(rng.uniform(0.0, 5.0)), alpha)
-        ok &= abs(q.sum() - 1.0) < 1e-9 and q.min() >= alpha / n - 1e-12
-    check("mirror-descent update feasibility", ok)
-
-    # robust aggregation membership
-    ok = True
-    for _ in range(200):
-        cands = [rng.normal(size=6) for _ in range(int(rng.integers(1, 12)))]
-        pick = corrected_krum(cands)
-        ok &= any(np.array_equal(pick, c) for c in cands)
-    check("robust aggregation returns a member", ok)
-
-    # revenue conservation
-    ok = True
-    for _ in range(2000):
-        bid = int(rng.integers(1, 10**9))
-        sellers = {f"s{i}": int(rng.integers(0, 50)) for i in range(int(rng.integers(1, 8)))}
-        if all(v == 0 for v in sellers.values()):
-            sellers["s0"] = 1
-        nodes = {f"n{i}": int(rng.integers(0, 20)) for i in range(int(rng.integers(1, 6)))}
-        if all(v == 0 for v in nodes.values()):
-            nodes["n0"] = 1
-        report = distribute_revenue(bid, sellers, nodes)
-        ok &= sum(report.transfers.values()) == bid
-        ok &= report.node_share == 30 * bid // 100
-    check("revenue split conserves the bid", ok)
-
-    # ledger token conservation on a small workload
-    ledger = Ledger(seed=7, auction_window=3)
-    buyer = ledger.register_user("b1", is_buyer=True)
-    rival = ledger.register_user("b2", is_buyer=True)
-    seller = ledger.register_user("s1", is_buyer=False)
-    node = ledger.register_node("n1")
-    ledger.mint(buyer, 500)
-    ledger.mint(rival, 400)
-    ledger.register_dataset(seller, {"x"}, 10)
-    ledger.start_auction(DataRequest(tags={"x"}, amount=300), buyer)
-    ledger.place_bid(DataRequest(tags={"x"}, amount=350), rival)
-    for _ in range(3):
-        ledger.advance_block()
-    _, matched, settlement = ledger.close_auction({"x"})
-    ledger.payout_escrow(settlement, {seller: 245, node: 105})
-    check(
-        "ledger token conservation",
-        sum(a.balance for a in ledger.accounts.values())
-        + ledger.escrowed_total
-        + ledger.fees_collected
-        == ledger.total_supply,
-    )
-
-    print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
+    for name, check in checks:
+        try:
+            problem = None if check() else "does not hold"
+        except Exception as exc:  # a malformed artifact fails its check, not the command
+            problem = str(exc) if isinstance(exc, _Unreadable) else f"{type(exc).__name__}: {exc}"
+        print(f"[PASS] {name}" if problem is None else f"[FAIL] {name}: {problem}")
+        failures += problem is not None
+    print(f"{failures} of {len(checks)} checks failed" if failures else "all checks passed")
     return 1 if failures else 0
 
 
@@ -221,7 +188,8 @@ def main(argv: list[str] | None = None) -> int:
     p_an.add_argument("--out", default=None)
     p_an.set_defaults(func=_cmd_analyze)
 
-    p_verify = sub.add_parser("verify", help="run the quick invariant battery")
+    p_verify = sub.add_parser("verify", help="check a run's output directory against its records")
+    p_verify.add_argument("dir", metavar="DIR", help="output directory of one `datamarket run`")
     p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -53,15 +53,6 @@ class OsmdConfig:
             raise ValueError("floor_fraction must lie in [0, 1]")
 
 
-def validate_distribution(p: np.ndarray, floor_fraction: float = 0.0) -> None:
-    """Check simplex membership and the per-entry floor."""
-    p = np.asarray(p, dtype=float)
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-    if p.min() < floor_fraction / len(p) - 1e-12:
-        raise ValueError("probability below the fairness floor")
-
-
 def sample_sellers(p: np.ndarray, k: int, seed: bytes) -> np.ndarray:
     """Draw k seller indices i.i.d. from p, deterministic in seed."""
     p = np.asarray(p, dtype=float)

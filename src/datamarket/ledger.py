@@ -90,7 +90,6 @@ class AuctionState:
     auction_end: int
     highest_bid: int = 0
     highest_bidder: str | None = None
-    escrowed: int = 0
     request: DataRequest | None = None
 
 
@@ -221,32 +220,36 @@ class Ledger:
         """Open an auction for the request's tags and place the first bid.
 
         When an auction with the same tags is already active the call
-        routes to place_bid instead of opening a second one.
+        bids on that one instead of opening a second.
         """
         acct = self.accounts.get(caller)
         if acct is None or acct.role is not Role.BUYER:
             raise NotBuyer(f"{caller!r} is not a registered buyer")
-        if request.tags in self.active_auctions:
-            self.place_bid(request, caller, _record=False)
-            self._log("start_auction", request=request.to_dict(), caller=caller)
-            return request.tags
-        self.active_auctions[request.tags] = AuctionState(
-            tags=request.tags, auction_end=self.height + self.auction_window
-        )
+        opened = request.tags not in self.active_auctions
+        if opened:
+            self.active_auctions[request.tags] = AuctionState(
+                tags=request.tags, auction_end=self.height + self.auction_window
+            )
         try:
-            self.place_bid(request, caller, _record=False)
+            self._bid(request, caller)
         except Exception:
-            del self.active_auctions[request.tags]
+            if opened:
+                del self.active_auctions[request.tags]
             raise
         self._log("start_auction", request=request.to_dict(), caller=caller)
         return request.tags
 
-    def place_bid(self, request: DataRequest, caller: str, _record: bool = True) -> bool:
+    def place_bid(self, request: DataRequest, caller: str) -> bool:
         """Escrow a strictly higher bid, refunding the displaced bidder.
 
         Equal bids are rejected; the transaction fee is charged whether or
         not the bid is accepted.
         """
+        accepted = self._bid(request, caller)
+        self._log("place_bid", request=request.to_dict(), caller=caller, accepted=accepted)
+        return accepted
+
+    def _bid(self, request: DataRequest, caller: str) -> bool:
         auction = self.active_auctions.get(request.tags)
         if auction is None or self.height >= auction.auction_end:
             raise NoActiveAuction(f"no active auction for tags {sorted(request.tags)}")
@@ -261,13 +264,10 @@ class Ledger:
         if accepted:
             acct.balance -= request.amount
             if auction.highest_bidder is not None:
-                self._account(auction.highest_bidder).balance += auction.escrowed
+                self._account(auction.highest_bidder).balance += auction.highest_bid
             auction.highest_bid = request.amount
             auction.highest_bidder = caller
-            auction.escrowed = request.amount
             auction.request = request
-        if _record:
-            self._log("place_bid", request=request.to_dict(), caller=caller, accepted=accepted)
         return accepted
 
     def close_auction(
@@ -292,13 +292,13 @@ class Ledger:
             return None, frozenset(), None
         sellers = self.identify_matching_datasets(tags)
         if not sellers:
-            self._account(auction.highest_bidder).balance += auction.escrowed
+            self._account(auction.highest_bidder).balance += auction.highest_bid
             self._log("close_auction", tags=sorted(tags), outcome="refunded")
             return auction.request, frozenset(), None
         settlement_id = self._next_settlement
         self._next_settlement += 1
         self.settlements[settlement_id] = _Settlement(
-            amount=auction.escrowed, winner=auction.highest_bidder, tags=tags
+            amount=auction.highest_bid, winner=auction.highest_bidder, tags=tags
         )
         self._log("close_auction", tags=sorted(tags), outcome="settled")
         return auction.request, sellers, settlement_id
@@ -406,7 +406,7 @@ class Ledger:
 
     @property
     def escrowed_total(self) -> int:
-        active = sum(a.escrowed for a in self.active_auctions.values())
+        active = sum(a.highest_bid for a in self.active_auctions.values())
         settled = sum(s.amount for s in self.settlements.values())
         return active + settled
 
@@ -434,7 +434,7 @@ class Ledger:
                     "auction_end": a.auction_end,
                     "highest_bid": a.highest_bid,
                     "highest_bidder": a.highest_bidder,
-                    "escrowed": a.escrowed,
+                    "escrowed": a.highest_bid,
                 }
                 for a in sorted(self.active_auctions.values(), key=lambda a: sorted(a.tags))
             ],

@@ -241,13 +241,6 @@ def _backward(layers, inputs, labels: np.ndarray, probs: np.ndarray) -> np.ndarr
     return np.concatenate(grads)
 
 
-def gradient(w: ModelWeights, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of the mean cross-entropy loss as a flat vector."""
-    layers = _layers(w.values, w.spec.layer_dims)
-    logits, inputs = _forward(layers, features)
-    return _backward(layers, inputs, labels, _softmax(logits))
-
-
 def loss_and_grad(w: ModelWeights, features: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy loss and its gradient as a flat vector."""
     layers = _layers(w.values, w.spec.layer_dims)

@@ -3,6 +3,7 @@
 import csv
 import json
 import pickle
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import quick_scenario, robustness_scenario
+from datamarket import adversary
 from datamarket.cli import main as cli_main
 from datamarket.consensus import execution_set_size, threshold
 from datamarket.errors import DegenerateParams, NoConsensus
@@ -448,6 +450,18 @@ class TestBuildSplits:
         assert len(splits.train) == 32 and len(splits.validation) == 4 and len(splits.test) == 4
 
 
+def run_out(tmp_path: Path, scenario: Scenario) -> Path:
+    """Output directory of ``datamarket run`` on the scenario."""
+    config = tmp_path / "scenario.cfg"
+    config.write_text(format_config(scenario))
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out"
+
+
+def bump(record: dict, key: str) -> None:
+    record[key] += 1
+
+
 class TestCli:
     def write_config(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -495,9 +509,97 @@ class TestCli:
         assert payload["equilibrium_holds"] is True
         assert capsys.readouterr().out.strip()
 
-    def test_verify_subcommand(self, capsys):
-        assert cli_main(["verify"]) == 0
-        assert "[PASS]" in capsys.readouterr().out
+    def verify(self, out, capsys) -> tuple[int, list[str]]:
+        capsys.readouterr()
+        code = cli_main(["verify", str(out)])
+        return code, [line for line in capsys.readouterr().out.splitlines() if line[:1] == "["]
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            quick_scenario(),
+            quick_scenario(adversary=AdversaryConfig(node_fraction=0.3, node_strategy="random-digest")),
+            quick_scenario(
+                ablation="no-consensus",
+                adversary=AdversaryConfig(node_fraction=0.3, node_strategy="stale-digest"),
+            ),
+            quick_scenario(data=DataConfig(rows=500, registry_tags=("unrelated",))),
+        ],
+        ids=["quick", "random-digest", "no-consensus", "refunded"],
+    )
+    def test_verify_passes_a_fresh_run(self, scenario, tmp_path, capsys):
+        code, lines = self.verify(run_out(tmp_path, scenario), capsys)
+        assert code == 0
+        assert len(lines) == 5 and all(line.startswith("[PASS]") for line in lines)
+
+    def test_verify_drops_a_disqualified_digest_from_later_scores(self, tmp_path, capsys, monkeypatch):
+        # Byzantine nodes that all commit one digest nobody can reveal win a
+        # mini-round; the digest is disqualified and later scores omit it.
+        monkeypatch.setattr(adversary, "byzantine_node_digest", lambda strategy, seed: bytes(32))
+        config = AdversaryConfig(node_fraction=0.7, node_strategy="random-digest")
+        out = run_out(tmp_path, quick_scenario(t_max=1, adversary=config))
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert bytes(32).hex() in {e.get("accepted") for e in events if e["event"] == "consensus"}
+        assert bytes(32).hex() not in {e.get("accepted_digest") for e in events}
+        code, lines = self.verify(out, capsys)
+        assert code == 0 and all(line.startswith("[PASS]") for line in lines)
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        return run_out(tmp_path_factory.mktemp("verify"), quick_scenario())
+
+    @pytest.mark.parametrize(
+        "artifact, match, change, failure",
+        [
+            ("tx_log.ndjson", lambda r: r["op"] == "mint", lambda r: bump(r, "amount"),
+             "[FAIL] tx_log.ndjson replays to ledger.json: does not hold"),
+            ("ledger.json", lambda r: True, lambda r: bump(r["accounts"]["buyer000"], "balance"),
+             "[FAIL] tx_log.ndjson replays to ledger.json: does not hold"),
+            ("events.jsonl", lambda e: e["event"] == "consensus",
+             lambda e: bump(e["scores"], min(e["scores"])),
+             "[FAIL] consensus events score the ledger's commits: does not hold"),
+            ("events.jsonl", lambda e: e["event"] == "round",
+             lambda e: e.update(accepted_digest=bytes(32).hex()),
+             "[FAIL] round events adopt their last mini-round's digest: does not hold"),
+            ("tx_log.ndjson", lambda r: r["op"] == "mint", lambda r: bump(r, "height"),
+             "[FAIL] tx_log.ndjson replays to ledger.json: tx_log.ndjson: ValueError: 'mint' entry"),
+        ],
+        ids=["mint-amount", "balance", "score", "accepted-digest", "height"],
+    )
+    def test_verify_fails_a_tampered_run(
+        self, pristine, tmp_path, capsys, artifact, match, change, failure
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        lines = (out / artifact).read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if match(json.loads(line)))
+        record = json.loads(lines[k])
+        change(record)
+        lines[k] = json.dumps(record)
+        (out / artifact).write_text("\n".join(lines) + "\n")
+        code, lines = self.verify(out, capsys)
+        assert code == 1
+        assert any(line.startswith(failure) for line in lines), lines
+
+    def test_verify_fails_a_run_missing_a_consensus_event(self, pristine, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        lines = (out / "events.jsonl").read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if json.loads(line)["event"] == "consensus")
+        (out / "events.jsonl").write_text("\n".join(lines[:k] + lines[k + 1 :]) + "\n")
+        code, lines = self.verify(out, capsys)
+        assert code == 1
+        assert "[FAIL] consensus events score the ledger's commits: does not hold" in lines
+
+    def test_verify_fails_without_a_summary(self, pristine, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pristine, out)
+        (out / "summary.json").unlink()
+        code, lines = self.verify(out, capsys)
+        assert code == 1
+        assert lines[-1].startswith(
+            "[FAIL] summary.json counts the round events: summary.json: FileNotFoundError"
+        )
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch, capsys):
         config = self.write_config(tmp_path)

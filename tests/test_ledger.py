@@ -133,7 +133,8 @@ class TestAuctionLifecycle:
         ledger.start_auction(request(amount=100), "b1")
         auction = ledger.active_auctions[frozenset({"x"})]
         assert auction.highest_bid == 100 and auction.highest_bidder == "b1"
-        assert auction.escrowed == 100 and auction.auction_end == ledger.height + 10
+        assert auction.auction_end == ledger.height + 10
+        assert ledger.snapshot()["active_auctions"][0]["escrowed"] == 100
         assert ledger.accounts["b1"].balance == 900
         assert conserved(ledger)
 
@@ -166,7 +167,7 @@ class TestAuctionLifecycle:
         assert ledger.place_bid(request(amount=150), "b2") is True
         assert ledger.accounts["b1"].balance == 1000
         assert ledger.accounts["b2"].balance == 850
-        assert ledger.active_auctions[frozenset({"x"})].escrowed == 150
+        assert ledger.active_auctions[frozenset({"x"})].highest_bid == 150
         assert conserved(ledger)
 
     def test_equal_bid_rejected(self):

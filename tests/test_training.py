@@ -23,7 +23,6 @@ from datamarket.training import (
     SynthSpec,
     dirichlet_partition,
     evaluate_metric,
-    gradient,
     init_weights,
     load_idx,
     local_update,
@@ -68,16 +67,6 @@ class TestGradients:
             fd = finite_difference_grad(w, features, labels)
             denom = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(grad - fd) / denom < 1e-4
-
-    @pytest.mark.parametrize("hidden", [0, 6])
-    def test_gradient_only_path_is_bit_identical(self, hidden):
-        rng = rng_from(derive_seed("grad-only", hidden))
-        spec = ModelSpec(input_dim=4, class_count=3, hidden=hidden)
-        w = ModelWeights(rng.normal(size=spec.param_count), spec)
-        features = rng.normal(size=(50, 4))
-        labels = rng.integers(0, 3, size=50)
-        _, expected = loss_and_grad(w, features, labels)
-        assert np.array_equal(gradient(w, features, labels), expected)
 
     def test_one_training_step_is_gradient_descent(self):
         data = small_dataset(rows=1)
