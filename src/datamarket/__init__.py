@@ -36,7 +36,6 @@ from .economics import (
 from .fedcore import (
     FederatedRoundResult,
     OsmdConfig,
-    corrected_krum,
     mean_aggregate,
     omd_update,
     run_federated_round,

@@ -112,6 +112,15 @@ def likelihood_scores(
     }
 
 
+def _scale(params: ConsensusParams) -> float:
+    """2q(1-q)·N·(1-f)·f, the scale that threshold and acceptance_bound share."""
+    f = params.byz_fraction_max
+    q = params.sample_fraction
+    if f <= 0.0 or f >= 0.5:
+        raise DegenerateParams("byz_fraction_max must lie strictly in (0, 0.5)")
+    return 2.0 * q * (1.0 - q) * params.total_nodes * (1.0 - f) * f
+
+
 def threshold(params: ConsensusParams) -> float:
     """Likelihood score a digest must exceed for acceptance.
 
@@ -119,12 +128,8 @@ def threshold(params: ConsensusParams) -> float:
     Byzantine fraction moves away from one half.
     """
     f = params.byz_fraction_max
-    q = params.sample_fraction
-    if f <= 0.0 or f >= 0.5:
-        raise DegenerateParams("byz_fraction_max must lie strictly in (0, 0.5)")
     beta = params.confidence_beta
-    scale = 2.0 * q * (1.0 - q) * params.total_nodes * (1.0 - f) * f
-    return math.log((1.0 - beta) / beta) * scale / ((1.0 - f) - f)
+    return math.log((1.0 - beta) / beta) * _scale(params) / ((1.0 - f) - f)
 
 
 def acceptance_bound(theta: float, params: ConsensusParams) -> float:
@@ -134,11 +139,7 @@ def acceptance_bound(theta: float, params: ConsensusParams) -> float:
     a configured bound returns that bound.
     """
     f = params.byz_fraction_max
-    q = params.sample_fraction
-    if f <= 0.0 or f >= 0.5:
-        raise DegenerateParams("byz_fraction_max must lie strictly in (0, 0.5)")
-    scale = 2.0 * q * (1.0 - q) * params.total_nodes * (1.0 - f) * f
-    return 1.0 / (1.0 + math.exp(theta * (1.0 - 2.0 * f) / scale))
+    return 1.0 / (1.0 + math.exp(theta * (1.0 - 2.0 * f) / _scale(params)))
 
 
 def best_digest(scores: Mapping[bytes, int]) -> bytes | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping
 
 from .errors import EmptyContributors
@@ -202,17 +202,7 @@ class PayoffReport:
     rounds: int
 
     def to_dict(self) -> dict:
-        return {
-            "u_seller_honest": self.u_seller_honest,
-            "u_seller_malicious": self.u_seller_malicious,
-            "u_node_honest": self.u_node_honest,
-            "u_node_collude": self.u_node_collude,
-            "seller_honesty_holds": self.seller_honesty_holds,
-            "node_honesty_holds": self.node_honesty_holds,
-            "equilibrium_holds": self.equilibrium_holds,
-            "bribe_window": list(self.bribe_window) if self.bribe_window else None,
-            "rounds": self.rounds,
-        }
+        return asdict(self)
 
 
 def analyze_payoffs(params: PayoffParams, rounds: int) -> PayoffReport:

@@ -149,45 +149,29 @@ def omd_update(
     return _project_floor_simplex(weights, floor)
 
 
-def _distances_to_mean(candidates: Sequence[np.ndarray]) -> np.ndarray:
-    stack = np.stack([np.asarray(c, dtype=float) for c in candidates])
-    mean = stack.mean(axis=0)
-    return ((stack - mean) ** 2).sum(axis=1)
-
-
-def _check_candidates(candidates: Sequence[np.ndarray]) -> None:
+def _stack(candidates: Sequence[np.ndarray]) -> np.ndarray:
+    """The candidates as one (k, P) float matrix; a float matrix is returned without a copy."""
     if len(candidates) == 0:
         raise EmptyCandidates("no candidates to aggregate")
-    dim = np.asarray(candidates[0]).shape
-    for c in candidates[1:]:
-        if np.asarray(c).shape != dim:
-            raise DimensionMismatch("candidate dimensions differ")
+    if len({np.shape(c) for c in candidates}) > 1:
+        raise DimensionMismatch("candidate dimensions differ")
+    return np.asarray(candidates, dtype=float)
 
 
 def corrected_krum_index(candidates: Sequence[np.ndarray]) -> int:
-    """Index of the candidate closest to the mean of all candidates."""
-    _check_candidates(candidates)
-    return int(np.argmin(_distances_to_mean(candidates)))
-
-
-def corrected_krum(candidates: Sequence[np.ndarray]) -> np.ndarray:
-    """Pick the candidate with the smallest squared distance to the mean.
-
-    The result is always one of the inputs, never a blend; ties go to the
-    lowest candidate index.
-    """
-    return np.asarray(candidates[corrected_krum_index(candidates)], dtype=float)
+    """Index of the candidate nearest the mean of all, by squared distance; ties go to the lowest."""
+    stack = _stack(candidates)
+    return int(np.argmin(((stack - stack.mean(axis=0)) ** 2).sum(axis=1)))
 
 
 def classical_krum_index(candidates: Sequence[np.ndarray], byz_count: int | None = None) -> int:
     """Classical nearest-neighbour Krum score, for comparison; no round aggregates with it."""
-    _check_candidates(candidates)
-    n = len(candidates)
+    stack = _stack(candidates)
+    n = len(stack)
     if byz_count is None:
         byz_count = max(0, (n - 3) // 2)
     if n <= 2 * byz_count + 2:
         raise ValueError("need more than 2 * byz_count + 2 candidates")
-    stack = np.stack([np.asarray(c, dtype=float) for c in candidates])
     diff = stack[:, None, :] - stack[None, :, :]
     dist2 = (diff**2).sum(axis=2)
     closest = n - byz_count - 1  # excludes self, which scores 0 anyway
@@ -197,8 +181,7 @@ def classical_krum_index(candidates: Sequence[np.ndarray], byz_count: int | None
 
 def mean_aggregate(candidates: Sequence[np.ndarray]) -> np.ndarray:
     """Plain coordinate-wise mean; the no-krum ablation aggregator."""
-    _check_candidates(candidates)
-    return np.stack([np.asarray(c, dtype=float) for c in candidates]).mean(axis=0)
+    return _stack(candidates).mean(axis=0)
 
 
 class SellerOracle(Protocol):
@@ -242,28 +225,25 @@ def run_federated_round(
 
     Deterministic in (inputs, seed); every honest executor given the same
     arguments produces a bit-identical result.  Each distinct sampled
-    seller contributes one candidate, assembled in seller-index order.
-    The base weights and all candidates are scored in one oracle call.
+    seller contributes one candidate row, in seller-index order.  The base
+    weights and all candidates are scored in one oracle call.
     """
     values = np.asarray(values, dtype=float)
     p = np.asarray(p, dtype=float)
     k = params.batch_size
-    gamma = params.step_size
 
     sample = sample_sellers(p, k, derive_seed(seed, "sample"))
     sampled_sellers = sorted(int(i) for i in set(sample.tolist()))
-    deltas = {
-        i: np.asarray(oracle.local_delta(i, values, derive_seed(seed, "seller", i)), dtype=float)
-        for i in sampled_sellers
-    }
+    deltas = np.array(
+        [oracle.local_delta(i, values, derive_seed(seed, "seller", i)) for i in sampled_sellers],
+        dtype=float,
+    )
 
     new_counts = update_access_counts(counts, sample)
 
-    candidates = [values + gamma * deltas[i] for i in sampled_sellers]
-    scores = oracle.utility(np.stack([values] + candidates))
-    delta_utilities = {
-        i: float(scores[j + 1] - scores[0]) for j, i in enumerate(sampled_sellers)
-    }
+    candidates = values + params.step_size * deltas
+    scores = oracle.utility(np.vstack([values, candidates]))
+    delta_utilities = dict(zip(sampled_sellers, (scores[1:] - scores[0]).tolist()))
     u_hat = utility_estimates(sample, p, k, delta_utilities)
     new_p = omd_update(p, u_hat, params.learning_rate, params.floor_fraction)
 

@@ -406,7 +406,7 @@ def run_auction_to_completion(
             ledger=ledger, run=None, revenue=None, payoff=None, winner=None, refunded=True
         )
 
-    winner = ledger.settlements[settlement].winner
+    winner = ledger.settlements[settlement].highest_bidder
     matched_ids = sorted(matched)
     index_of = {sid: k for k, sid in enumerate(seller_ids)}
     market = Market.build(

@@ -86,11 +86,15 @@ class DataRequest:
 
 @dataclass
 class AuctionState:
-    tags: frozenset[str]
+    """One auction from its first bid to its payout; ``request`` is the escrowed highest bid."""
+
+    request: DataRequest
+    highest_bidder: str
     auction_end: int
-    highest_bid: int = 0
-    highest_bidder: str | None = None
-    request: DataRequest | None = None
+
+    @property
+    def highest_bid(self) -> int:
+        return self.request.amount
 
 
 @dataclass(frozen=True)
@@ -109,13 +113,6 @@ class _ExecutionSlot:
     commits: dict[str, bytes] = field(default_factory=dict)  # node -> digest, in commit order
 
 
-@dataclass
-class _Settlement:
-    amount: int
-    winner: str
-    tags: frozenset[str]
-
-
 _compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -129,6 +126,8 @@ class Ledger:
         commit_timeout: int = 10,
         tx_fee: int = 0,
     ):
+        if auction_window < 1:
+            raise ValueError("auction_window must be >= 1")
         if commit_timeout < 1:
             raise ValueError("commit_timeout must be >= 1")
         self.seed = seed
@@ -139,7 +138,7 @@ class Ledger:
         self.accounts: dict[str, Account] = {}
         self.datasets: list[DatasetRecord] = []
         self.active_auctions: dict[frozenset[str], AuctionState] = {}
-        self.settlements: dict[int, _Settlement] = {}
+        self.settlements: dict[int, AuctionState] = {}
         self.execution_slots: dict[tuple[int, int], _ExecutionSlot] = {}
         self.tx_log: list[dict] = [{
             "op": "genesis", "seed": seed, "auction_window": auction_window,
@@ -217,25 +216,18 @@ class Ledger:
     # -- auction ------------------------------------------------------
 
     def start_auction(self, request: DataRequest, caller: str) -> frozenset[str]:
-        """Open an auction for the request's tags and place the first bid.
+        """Open an auction for the request's tags with the request as its first bid.
 
         When an auction with the same tags is already active the call
         bids on that one instead of opening a second.
         """
-        acct = self.accounts.get(caller)
-        if acct is None or acct.role is not Role.BUYER:
-            raise NotBuyer(f"{caller!r} is not a registered buyer")
-        opened = request.tags not in self.active_auctions
-        if opened:
-            self.active_auctions[request.tags] = AuctionState(
-                tags=request.tags, auction_end=self.height + self.auction_window
-            )
-        try:
-            self._bid(request, caller)
-        except Exception:
-            if opened:
-                del self.active_auctions[request.tags]
-            raise
+        auction = self.active_auctions.get(request.tags)
+        if auction is None:
+            auction_end = self.height + self.auction_window
+            self._charge(request, caller, auction_end).balance -= request.amount
+            self.active_auctions[request.tags] = AuctionState(request, caller, auction_end)
+        else:
+            self._bid(auction, request, caller)
         self._log("start_auction", request=request.to_dict(), caller=caller)
         return request.tags
 
@@ -245,38 +237,43 @@ class Ledger:
         Equal bids are rejected; the transaction fee is charged whether or
         not the bid is accepted.
         """
-        accepted = self._bid(request, caller)
+        auction = self.active_auctions.get(request.tags)
+        if auction is None:
+            raise NoActiveAuction(f"no active auction for tags {sorted(request.tags)}")
+        accepted = self._bid(auction, request, caller)
         self._log("place_bid", request=request.to_dict(), caller=caller, accepted=accepted)
         return accepted
 
-    def _bid(self, request: DataRequest, caller: str) -> bool:
-        auction = self.active_auctions.get(request.tags)
-        if auction is None or self.height >= auction.auction_end:
+    def _bid(self, auction: AuctionState, request: DataRequest, caller: str) -> bool:
+        acct = self._charge(request, caller, auction.auction_end)
+        accepted = request.amount > auction.highest_bid
+        if accepted:
+            acct.balance -= request.amount
+            self.accounts[auction.highest_bidder].balance += auction.highest_bid
+            auction.request = request
+            auction.highest_bidder = caller
+        return accepted
+
+    def _charge(self, request: DataRequest, caller: str, auction_end: int) -> Account:
+        """Take the fee from a registered buyer who can cover the bid, before auction_end."""
+        acct = self.accounts.get(caller)
+        if acct is None or acct.role is not Role.BUYER:
+            raise NotBuyer(f"{caller!r} is not a registered buyer")
+        if self.height >= auction_end:
             raise NoActiveAuction(f"no active auction for tags {sorted(request.tags)}")
-        acct = self._account(caller)
         if acct.balance < request.amount + self.tx_fee:
             raise InsufficientBalance(
                 f"{caller!r} holds {acct.balance}, needs {request.amount + self.tx_fee}"
             )
         acct.balance -= self.tx_fee
         self.fees_collected += self.tx_fee
-        accepted = request.amount > auction.highest_bid
-        if accepted:
-            acct.balance -= request.amount
-            if auction.highest_bidder is not None:
-                self._account(auction.highest_bidder).balance += auction.highest_bid
-            auction.highest_bid = request.amount
-            auction.highest_bidder = caller
-            auction.request = request
-        return accepted
+        return acct
 
-    def close_auction(
-        self, tags: Iterable[str]
-    ) -> tuple[DataRequest | None, frozenset[str], int | None]:
+    def close_auction(self, tags: Iterable[str]) -> tuple[DataRequest, frozenset[str], int | None]:
         """End an elapsed auction; return the winning request and matched sellers.
 
-        The escrow moves into a settlement awaiting payout.  With no
-        matching sellers (or no bids) the winner is refunded in full.
+        The auction, with its escrow, becomes a settlement awaiting payout.
+        With no matching sellers the winner is refunded in full.
         """
         tags = frozenset(tags)
         auction = self.active_auctions.get(tags)
@@ -287,19 +284,14 @@ class Ledger:
                 f"auction open until height {auction.auction_end}, now {self.height}"
             )
         del self.active_auctions[tags]
-        if auction.highest_bidder is None:
-            self._log("close_auction", tags=sorted(tags), outcome="no-bids")
-            return None, frozenset(), None
         sellers = self.identify_matching_datasets(tags)
         if not sellers:
-            self._account(auction.highest_bidder).balance += auction.highest_bid
+            self.accounts[auction.highest_bidder].balance += auction.highest_bid
             self._log("close_auction", tags=sorted(tags), outcome="refunded")
             return auction.request, frozenset(), None
         settlement_id = self._next_settlement
         self._next_settlement += 1
-        self.settlements[settlement_id] = _Settlement(
-            amount=auction.highest_bid, winner=auction.highest_bidder, tags=tags
-        )
+        self.settlements[settlement_id] = auction
         self._log("close_auction", tags=sorted(tags), outcome="settled")
         return auction.request, sellers, settlement_id
 
@@ -308,7 +300,7 @@ class Ledger:
         settlement = self.settlements.get(settlement_id)
         if settlement is None:
             raise KeyError(f"unknown settlement {settlement_id}")
-        if sum(transfers.values()) != settlement.amount:
+        if sum(transfers.values()) != settlement.highest_bid:
             raise ValueError("transfers do not sum to the escrowed amount")
         if any(v < 0 for v in transfers.values()):
             raise ValueError("transfers must be non-negative")
@@ -325,7 +317,7 @@ class Ledger:
         settlement = self.settlements.get(settlement_id)
         if settlement is None:
             raise KeyError(f"unknown settlement {settlement_id}")
-        self._account(settlement.winner).balance += settlement.amount
+        self.accounts[settlement.highest_bidder].balance += settlement.highest_bid
         del self.settlements[settlement_id]
         self._log("refund_settlement", settlement_id=settlement_id)
 
@@ -406,9 +398,8 @@ class Ledger:
 
     @property
     def escrowed_total(self) -> int:
-        active = sum(a.highest_bid for a in self.active_auctions.values())
-        settled = sum(s.amount for s in self.settlements.values())
-        return active + settled
+        auctions = [*self.active_auctions.values(), *self.settlements.values()]
+        return sum(a.highest_bid for a in auctions)
 
     def snapshot(self) -> dict:
         return {
@@ -430,16 +421,20 @@ class Ledger:
             ],
             "active_auctions": [
                 {
-                    "tags": sorted(a.tags),
+                    "tags": sorted(a.request.tags),
                     "auction_end": a.auction_end,
                     "highest_bid": a.highest_bid,
                     "highest_bidder": a.highest_bidder,
                     "escrowed": a.highest_bid,
                 }
-                for a in sorted(self.active_auctions.values(), key=lambda a: sorted(a.tags))
+                for a in map(self.active_auctions.get, sorted(self.active_auctions, key=sorted))
             ],
             "settlements": {
-                str(sid): {"amount": s.amount, "winner": s.winner, "tags": sorted(s.tags)}
+                str(sid): {
+                    "amount": s.highest_bid,
+                    "winner": s.highest_bidder,
+                    "tags": sorted(s.request.tags),
+                }
                 for sid, s in sorted(self.settlements.items())
             },
         }

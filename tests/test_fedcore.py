@@ -13,8 +13,8 @@ from datamarket.errors import (
 )
 from datamarket.fedcore import (
     OsmdConfig,
+    _stack,
     classical_krum_index,
-    corrected_krum,
     corrected_krum_index,
     mean_aggregate,
     omd_update,
@@ -144,7 +144,7 @@ class TestOmdUpdate:
 class TestCorrectedKrum:
     def test_single_candidate(self):
         c = np.array([2.0, 3.0])
-        assert np.array_equal(corrected_krum([c]), c)
+        assert corrected_krum_index([c]) == 0
 
     def test_reference_example(self):
         cands = [
@@ -154,11 +154,11 @@ class TestCorrectedKrum:
             np.array([10.0, 10.0]),
         ]
         # distances to mean (3.25, 3.25): 10.125, 10.145, 10.145, 91.125
-        assert np.array_equal(corrected_krum(cands), cands[0])
+        assert corrected_krum_index(cands) == 0
 
     def test_identical_candidates(self):
         c = np.array([4.0, -1.0])
-        assert np.array_equal(corrected_krum([c.copy() for _ in range(5)]), c)
+        assert corrected_krum_index([c.copy() for _ in range(5)]) == 0
 
     def test_tie_goes_to_lowest_index(self):
         cands = [np.array([1.0]), np.array([-1.0]), np.array([1.0])]
@@ -168,8 +168,9 @@ class TestCorrectedKrum:
         rng = rng_from(derive_seed("member"))
         for _ in range(300):
             cands = [rng.normal(size=5) for _ in range(int(rng.integers(1, 12)))]
-            picked = corrected_krum(cands)
-            assert any(np.array_equal(picked, c) for c in cands)
+            picked = corrected_krum_index(cands)
+            assert 0 <= picked < len(cands)
+            assert corrected_krum_index(np.stack(cands)) == picked
 
     def test_matches_exhaustive_distance_scan(self):
         rng = rng_from(derive_seed("scan"))
@@ -181,17 +182,24 @@ class TestCorrectedKrum:
 
     def test_empty_candidates(self):
         with pytest.raises(EmptyCandidates):
-            corrected_krum([])
+            corrected_krum_index([])
+        with pytest.raises(EmptyCandidates):
+            corrected_krum_index(np.empty((0, 3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            corrected_krum([np.zeros(2), np.zeros(3)])
+            corrected_krum_index([np.zeros(2), np.zeros(3)])
 
 
 class TestOtherAggregators:
     def test_mean_aggregate(self):
         out = mean_aggregate([np.array([0.0, 2.0]), np.array([2.0, 0.0])])
         assert np.allclose(out, [1.0, 1.0])
+
+    def test_matrix_is_not_copied(self):
+        stack = np.arange(6.0).reshape(3, 2)
+        assert _stack(stack) is stack
+        assert np.array_equal(mean_aggregate(stack), mean_aggregate(list(stack)))
 
     def test_classical_krum_rejects_outlier(self):
         rng = rng_from(derive_seed("ck"))

@@ -145,6 +145,28 @@ class TestAuctionLifecycle:
         with pytest.raises(NotBuyer):
             ledger.start_auction(request(), "nobody")
 
+    @pytest.mark.parametrize("caller", ["s1", "n1", "nobody"])
+    def test_non_buyer_cannot_bid(self, caller):
+        ledger = funded_ledger()
+        ledger.register_node("n1")
+        ledger.mint("s1", 1000)
+        ledger.mint("n1", 1000)
+        ledger.start_auction(request(amount=100), "b1")
+        tx_log, snapshot = list(ledger.tx_log), ledger.snapshot()
+        with pytest.raises(NotBuyer):
+            ledger.place_bid(request(amount=500), caller)
+        with pytest.raises(NotBuyer):
+            ledger.start_auction(request(amount=500), caller)
+        assert ledger.tx_log == tx_log and ledger.snapshot() == snapshot
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(ValueError):
+            Ledger(auction_window=window)
+        genesis = json.loads(Ledger().tx_log_ndjson())
+        with pytest.raises(ValueError):
+            Ledger.replay(json.dumps({**genesis, "auction_window": window}))
+
     def test_second_start_routes_to_bid(self):
         ledger = funded_ledger()
         ledger.start_auction(request(amount=100), "b1")
@@ -207,7 +229,7 @@ class TestCloseAuction:
             ledger.advance_block()
         won, sellers, settlement = ledger.close_auction({"x"})
         assert won.amount == 150 and sellers == {"s1"}
-        assert ledger.settlements[settlement].winner == "b2"
+        assert ledger.settlements[settlement].highest_bidder == "b2"
         assert frozenset({"x"}) not in ledger.active_auctions
         assert conserved(ledger)
 

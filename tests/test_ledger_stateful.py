@@ -14,6 +14,7 @@ from datamarket.errors import (
     DoubleCommit,
     DuplicateId,
     MarketError,
+    NotBuyer,
     NotInExecutionSet,
     UnknownSeller,
 )
@@ -60,7 +61,12 @@ class LedgerMachine(RuleBasedStateMachine):
         for buyer in ("b0", "b1"):
             self.call("mint", buyer, 1000)
         self.call("register_dataset", "s0", {"x"}, 10)
+        # settle one auction first, so the payout and refund rules have one to act on
         self.call("start_auction", DataRequest(tags={"x"}, amount=100), "b0")
+        for _ in range(2):
+            self.advance_block()
+        self.call("close_auction", {"x"})
+        self.call("start_auction", DataRequest(tags={"x"}, amount=100), "b1")
 
     # -- registration and funding ---------------------------------------
 
@@ -87,15 +93,27 @@ class LedgerMachine(RuleBasedStateMachine):
 
     # -- auction --------------------------------------------------------
 
-    @rule(caller=st.sampled_from(USERS), tags=TAGS, amount=st.integers(1, 400))
+    def is_buyer(self, caller: str) -> bool:
+        acct = self.ledger.accounts.get(caller)
+        return acct is not None and acct.role is Role.BUYER
+
+    @rule(caller=st.sampled_from(USERS + NODES), tags=TAGS, amount=st.integers(1, 400))
     def start_auction(self, caller, tags, amount):
-        self.call("start_auction", DataRequest(tags=tags, amount=amount), caller, may_fail=True)
+        buyer = self.is_buyer(caller)
+        self.call(
+            "start_auction", DataRequest(tags=tags, amount=amount), caller,
+            error=None if buyer else NotBuyer, may_fail=buyer,
+        )
 
     @precondition(lambda self: self.ledger.active_auctions)
-    @rule(data=st.data(), caller=st.sampled_from(USERS), amount=st.integers(1, 400))
+    @rule(data=st.data(), caller=st.sampled_from(USERS + NODES), amount=st.integers(1, 400))
     def place_bid(self, data, caller, amount):
         tags = data.draw(st.sampled_from(sorted(self.ledger.active_auctions, key=sorted)))
-        self.call("place_bid", DataRequest(tags=tags, amount=amount), caller, may_fail=True)
+        buyer = self.is_buyer(caller)
+        self.call(
+            "place_bid", DataRequest(tags=tags, amount=amount), caller,
+            error=None if buyer else NotBuyer, may_fail=buyer,
+        )
 
     @rule()
     def advance_block(self):
@@ -112,7 +130,7 @@ class LedgerMachine(RuleBasedStateMachine):
     @rule(data=st.data(), exact=st.booleans())
     def payout_escrow(self, data, exact):
         settlement = data.draw(st.sampled_from(sorted(self.ledger.settlements)))
-        left = self.ledger.settlements[settlement].amount
+        left = self.ledger.settlements[settlement].highest_bid
         accounts = st.sampled_from(sorted(self.ledger.accounts))
         payees = data.draw(st.lists(accounts, min_size=1, max_size=3, unique=True))
         transfers = {}
@@ -121,6 +139,21 @@ class LedgerMachine(RuleBasedStateMachine):
             left -= transfers[payee]
         transfers[payees[0]] = left if exact else left + 1
         self.call("payout_escrow", settlement, transfers, error=None if exact else ValueError)
+
+    @rule(data=st.data())
+    def refund_settlement(self, data):
+        settlements = self.ledger.settlements
+        ids = st.integers(0, 3)
+        if settlements:
+            ids = st.sampled_from(sorted(settlements)) | ids
+        settlement = data.draw(ids)
+        if settlement not in settlements:
+            self.call("refund_settlement", settlement, error=KeyError)
+            return
+        winner, amount = settlements[settlement].highest_bidder, settlements[settlement].highest_bid
+        before = self.ledger.accounts[winner].balance
+        self.call("refund_settlement", settlement)
+        assert self.ledger.accounts[winner].balance == before + amount
 
     # -- digest commitments ---------------------------------------------
 
@@ -165,6 +198,14 @@ class LedgerMachine(RuleBasedStateMachine):
         ledger = self.ledger
         held = sum(a.balance for a in ledger.accounts.values())
         assert held + ledger.escrowed_total + ledger.fees_collected == ledger.total_supply
+
+    @invariant()
+    def auctions_hold_buyer_bids(self):
+        ledger = self.ledger
+        for tags, auction in ledger.active_auctions.items():
+            assert auction.request.tags == tags
+        for auction in [*ledger.active_auctions.values(), *ledger.settlements.values()]:
+            assert self.is_buyer(auction.highest_bidder)
 
     @invariant()
     def commits_in_member_order(self):
