@@ -16,7 +16,7 @@ from .economics import PayoffParams, analyze_payoffs, geometric_catch_prob
 from .harness import byzantine_grid, run_auction_to_completion, run_experiment_grid
 from .ledger import Ledger
 from .metrics import MetricsSink, rounds_csv
-from .scenario import load_scenario
+from .scenario import AnalysisConfig, ConsensusConfig, Scenario, load_scenario
 
 
 def _out_dir(args) -> Path:
@@ -178,12 +178,12 @@ def main(argv: list[str] | None = None) -> int:
     p_an = sub.add_parser("analyze", help="standalone payoff analysis")
     p_an.add_argument("--seller-pool", type=float, default=70.0)
     p_an.add_argument("--node-pool", type=float, default=30.0)
-    p_an.add_argument("--nodes", type=int, default=50)
-    p_an.add_argument("--bribe", type=float, default=1.0)
-    p_an.add_argument("--quality", type=float, default=0.75)
-    p_an.add_argument("--claimed", type=float, default=0.8)
-    p_an.add_argument("--beta", type=float, default=0.01)
-    p_an.add_argument("--detect", type=float, default=0.3)
+    p_an.add_argument("--nodes", type=int, default=Scenario.nodes)
+    p_an.add_argument("--bribe", type=float, default=AnalysisConfig.bribe)
+    p_an.add_argument("--quality", type=float, default=AnalysisConfig.quality_honest)
+    p_an.add_argument("--claimed", type=float, default=AnalysisConfig.quality_claimed)
+    p_an.add_argument("--beta", type=float, default=ConsensusConfig.confidence_beta)
+    p_an.add_argument("--detect", type=float, default=AnalysisConfig.detect_rate)
     p_an.add_argument("--rounds", type=int, default=5)
     p_an.add_argument("--out", default=None)
     p_an.set_defaults(func=_cmd_analyze)

@@ -139,7 +139,10 @@ def acceptance_bound(theta: float, params: ConsensusParams) -> float:
     a configured bound returns that bound.
     """
     f = params.byz_fraction_max
-    return 1.0 / (1.0 + math.exp(theta * (1.0 - 2.0 * f) / _scale(params)))
+    x = theta * (1.0 - 2.0 * f) / _scale(params)
+    if x > 0.0:  # e^x overflows past about 709, where e^-x just underflows to 0
+        return math.exp(-x) / (1.0 + math.exp(-x))
+    return 1.0 / (1.0 + math.exp(x))
 
 
 def best_digest(scores: Mapping[bytes, int]) -> bytes | None:

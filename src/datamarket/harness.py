@@ -151,7 +151,7 @@ class Market:
             scenario=scenario, root=root, label=label, seller_ids=tuple(seller_ids),
             shards=tuple(shards), splits=splits, node_ids=node_ids, byz_nodes=byz_nodes,
             byz_sellers=byz_sellers,
-            spec=scenario.model_spec(train.features.shape[1], train.class_count),
+            spec=ModelSpec(train.features.shape[1], train.class_count, scenario.hidden_units),
             utility_set=validation.head(rows) if rows else validation,
         )
 
@@ -229,11 +229,7 @@ def run_core(
     elif market.scenario != scenario:
         raise ValueError("the market was built for another scenario")
     if ledger is None:
-        ledger = Ledger(
-            seed=scenario.seed,
-            auction_window=scenario.auction_window,
-            commit_timeout=scenario.timeout_blocks,
-        )
+        ledger = scenario.ledger()
         ledger.register_nodes(market.node_ids)
 
     tau = scenario.request.threshold
@@ -372,12 +368,7 @@ def run_auction_to_completion(
     # cannot be built leaves nothing registered or minted.
     splits = build_splits(scenario)
     shards = _seller_shards(scenario, splits)
-    ledger = Ledger(
-        seed=scenario.seed,
-        auction_window=scenario.auction_window,
-        commit_timeout=scenario.timeout_blocks,
-        tx_fee=scenario.tx_fee,
-    )
+    ledger = scenario.ledger()
     request = scenario.data_request()
 
     buyer = ledger.register_user("buyer000", is_buyer=True)

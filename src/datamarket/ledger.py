@@ -130,6 +130,8 @@ class Ledger:
             raise ValueError("auction_window must be >= 1")
         if commit_timeout < 1:
             raise ValueError("commit_timeout must be >= 1")
+        if tx_fee < 0:
+            raise ValueError("tx_fee must be >= 0")
         self.seed = seed
         self.auction_window = auction_window
         self.commit_timeout = commit_timeout

@@ -9,6 +9,7 @@ determines the output.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,9 +17,9 @@ from .adversary import AdversaryConfig
 from .consensus import ConsensusParams, threshold
 from .economics import PayoffParams, geometric_catch_prob
 from .fedcore import OsmdConfig
-from .ledger import DataRequest
+from .ledger import DataRequest, Ledger
 from .rng import derive_seed
-from .training import ModelSpec, SynthSpec
+from .training import SynthSpec
 
 ABLATIONS = ("none", "no-krum", "no-consensus")
 DATA_KINDS = ("synthetic", "idx")
@@ -119,18 +120,13 @@ class Scenario:
             raise ValueError("need at least one seller and one node")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
-        if self.auction_window < 1:
-            raise ValueError("auction_window must be >= 1")
-        if self.timeout_blocks < 1:
-            raise ValueError("timeout_blocks must be >= 1")
-        if self.tx_fee < 0:
-            raise ValueError("tx_fee must be >= 0")
         if self.hidden_units < 0:
             raise ValueError("hidden_units must be >= 0")
         # Build the derived protocol objects now so a bad value fails at
         # load, not after a run has escrowed the buyer's bid.  The osmd,
         # adversary, train and data sections check themselves; each rival
         # bid is a request.
+        self.ledger()
         threshold(self.consensus_params())
         self.payoff_params(seller_pool=0.0, node_pool=0.0)
         request = self.data_request()
@@ -176,11 +172,6 @@ class Scenario:
             noise=self.data.noise,
         )
 
-    def model_spec(self, input_dim: int, class_count: int) -> ModelSpec:
-        return ModelSpec(
-            input_dim=input_dim, class_count=class_count, hidden=self.hidden_units
-        )
-
     def data_request(self) -> DataRequest:
         return DataRequest(
             tags=frozenset(self.request.tags),
@@ -189,49 +180,43 @@ class Scenario:
             threshold=self.request.threshold,
         )
 
-
-_SECTIONS = {
-    "consensus": ConsensusConfig,
-    "osmd": OsmdConfig,
-    "train": TrainConfig,
-    "data": DataConfig,
-    "adversary": AdversaryConfig,
-    "request": RequestConfig,
-    "analysis": AnalysisConfig,
-}
-
-_TOP_FIELDS = {
-    f.name: f
-    for f in dataclasses.fields(Scenario)
-    if f.name not in _SECTIONS
-}
+    def ledger(self) -> Ledger:
+        """A fresh ledger with this scenario's seed, auction window, commit timeout and fee."""
+        return Ledger(
+            self.seed, self.auction_window, commit_timeout=self.timeout_blocks, tx_fee=self.tx_fee
+        )
 
 
-def _coerce(raw: str, target_type, key: str):
-    # postponed annotations make dataclass field types plain strings
-    name = target_type if isinstance(target_type, str) else getattr(target_type, "__name__", "")
-    if name == "int":
-        return int(raw)
-    if name == "float":
-        return float(raw)
-    if name == "str":
-        return raw
-    if name in ("tuple[str, ...]", "tuple[int, ...]"):
-        items = [part.strip() for part in raw.split(",") if part.strip()]
-        if name == "tuple[int, ...]":
-            return tuple(int(p) for p in items)
-        return tuple(items)
+def _fields(cls) -> dict[str, type]:
+    """Each field of a config dataclass and its resolved type."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _parse(raw: str, kind: type, key: str):
+    # any other type is refused, so a bool field cannot read "False" as true
+    if kind in (int, float, str):
+        return kind(raw)
+    if kind in (tuple[int, ...], tuple[str, ...]):
+        item = typing.get_args(kind)[0]
+        return tuple(item(part.strip()) for part in raw.split(",") if part.strip())
     raise ValueError(f"cannot parse config key {key!r}")
 
 
 def parse_config(text: str) -> Scenario:
     """Parse the flat ``section.key = value`` scenario format.
 
-    Lines starting with ``#`` are comments; unknown keys are rejected so
-    typos fail loudly instead of silently using defaults.
+    Each dataclass field of :class:`Scenario` is a section and every other
+    field a top-level key.  Lines starting with ``#`` are comments; unknown
+    keys are rejected so typos fail loudly instead of silently using
+    defaults.
     """
-    top: dict = {}
-    sections: dict[str, dict] = {name: {} for name in _SECTIONS}
+    fields = _fields(Scenario)
+    kinds = {
+        name: _fields(kind) for name, kind in fields.items() if dataclasses.is_dataclass(kind)
+    }
+    kinds[None] = {name: kind for name, kind in fields.items() if name not in kinds}
+    values: dict[str | None, dict] = {section: {} for section in kinds}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -239,42 +224,31 @@ def parse_config(text: str) -> Scenario:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if "." in key:
-            section, _, name = key.partition(".")
-            cls = _SECTIONS.get(section)
-            if cls is None:
-                raise ValueError(f"line {lineno}: unknown section {section!r}")
-            fields = {f.name: f for f in dataclasses.fields(cls)}
-            if name not in fields:
-                raise ValueError(f"line {lineno}: unknown key {key!r}")
-            sections[section][name] = _coerce(raw, fields[name].type, key)
-        else:
-            if key not in _TOP_FIELDS:
-                raise ValueError(f"line {lineno}: unknown key {key!r}")
-            top[key] = _coerce(raw, _TOP_FIELDS[key].type, key)
-    kwargs = dict(top)
-    for name, cls in _SECTIONS.items():
-        kwargs[name] = cls(**sections[name])
-    return Scenario(**kwargs)
+        section, name = key.split(".", 1) if "." in key else (None, key)
+        if section not in kinds:
+            raise ValueError(f"line {lineno}: unknown section {section!r}")
+        if name not in kinds[section]:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        values[section][name] = _parse(raw, kinds[section][name], key)
+    top = values.pop(None)
+    return Scenario(**top, **{name: fields[name](**kw) for name, kw in values.items()})
 
 
 def load_scenario(path: str | Path) -> Scenario:
     return parse_config(Path(path).read_text())
 
 
+def _format(value) -> str:
+    return ",".join(str(v) for v in value) if isinstance(value, tuple) else str(value)
+
+
 def format_config(scenario: Scenario) -> str:
     """Render a scenario back into the flat config format."""
     lines = []
-    for name, f in _TOP_FIELDS.items():
+    for name, kind in _fields(Scenario).items():
         value = getattr(scenario, name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{name} = {value}")
-    for section, cls in _SECTIONS.items():
-        sub = getattr(scenario, section)
-        for f in dataclasses.fields(cls):
-            value = getattr(sub, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{section}.{f.name} = {value}")
+        if dataclasses.is_dataclass(kind):
+            lines += [f"{name}.{key} = {_format(getattr(value, key))}" for key in _fields(kind)]
+        else:
+            lines.append(f"{name} = {_format(value)}")
     return "\n".join(lines) + "\n"

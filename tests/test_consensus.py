@@ -188,6 +188,10 @@ class TestAcceptanceBound:
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-6
 
+    def test_huge_threshold_does_not_overflow(self):
+        params = ConsensusParams(100, 0.1, 0.3, 1e-3, 1)
+        assert acceptance_bound(20000.0, params) == 0.0
+
     def test_round_trip_randomized(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):

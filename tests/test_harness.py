@@ -14,6 +14,7 @@ from conftest import quick_scenario, robustness_scenario
 from datamarket import adversary
 from datamarket.cli import main as cli_main
 from datamarket.consensus import execution_set_size, threshold
+from datamarket.economics import analyze_payoffs
 from datamarket.errors import DegenerateParams, NoConsensus
 from datamarket.harness import (
     Market,
@@ -367,6 +368,12 @@ class TestScenarioConfig:
             parse_config("sellerz = 10\n")
         with pytest.raises(ValueError):
             parse_config("data.rowz = 10\n")
+        for line in ["nosuch.key = 1", "consensus = 3", "data.rows.extra = 1", ".seed = 1"]:
+            with pytest.raises(ValueError, match="unknown"):
+                parse_config(line + "\n")
+        for line in ["seed = 1.5", "data.rows = many"]:
+            with pytest.raises(ValueError):
+                parse_config(line + "\n")
 
     def test_bad_ablation_rejected(self):
         with pytest.raises(ValueError):
@@ -422,9 +429,10 @@ class TestScenarioConfig:
 
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "s.cfg"
-        path.write_text("seed = 4\nrequest.tags = a,b\n")
+        path.write_text("seed = 4\nrequest.tags = a,b\ncompeting_bids = 400, 700\n")
         scenario = load_scenario(path)
         assert scenario.seed == 4 and scenario.request.tags == ("a", "b")
+        assert scenario.competing_bids == (400, 700)
 
 
 class TestBuildSplits:
@@ -493,13 +501,16 @@ class TestCli:
             )
         )
         out = tmp_path / "grid"
-        code = cli_main(
-            ["grid", "--config", str(config), "--out", str(out),
-             "--fractions", "0.2", "--ablations", "none,no-consensus"]
+        args = ["grid", "--config", str(config), "--out", str(out), "--fractions", "0.3,0.5"]
+        assert cli_main(args + ["--ablations", "none,no-consensus"]) == 0
+        labels = ["byz30_none", "byz30_no-consensus", "byz50_none", "byz50_no-consensus"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"{label}.csv" for label in labels] + ["grid_timings.csv"]
         )
-        assert code == 0
-        assert (out / "byz20_none.csv").exists()
-        assert (out / "byz20_no-consensus.csv").exists()
+        timings = (out / "grid_timings.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in timings[1:]] == labels
+        with pytest.raises(ValueError, match="unknown ablation"):
+            cli_main(args + ["--ablations", "none,everything-off"])
 
     def test_analyze_subcommand(self, tmp_path, capsys):
         out_file = tmp_path / "payoff.json"
@@ -508,6 +519,12 @@ class TestCli:
         payload = json.loads(out_file.read_text())
         assert payload["equilibrium_holds"] is True
         assert capsys.readouterr().out.strip()
+
+    def test_analyze_defaults_are_the_scenario_defaults(self, capsys):
+        report = analyze_payoffs(Scenario().payoff_params(70.0, 30.0), rounds=5)
+        assert cli_main(["analyze"]) == 0
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        assert capsys.readouterr().out == text + "\n"
 
     def verify(self, out, capsys) -> tuple[int, list[str]]:
         capsys.readouterr()

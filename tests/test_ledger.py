@@ -167,6 +167,14 @@ class TestAuctionLifecycle:
         with pytest.raises(ValueError):
             Ledger.replay(json.dumps({**genesis, "auction_window": window}))
 
+    def test_negative_fee_rejected(self):
+        # a negative fee would credit every bidder and drive fees_collected below zero
+        with pytest.raises(ValueError):
+            Ledger(tx_fee=-5)
+        genesis = json.loads(Ledger().tx_log_ndjson())
+        with pytest.raises(ValueError):
+            Ledger.replay(json.dumps({**genesis, "tx_fee": -5}))
+
     def test_second_start_routes_to_bid(self):
         ledger = funded_ledger()
         ledger.start_auction(request(amount=100), "b1")
