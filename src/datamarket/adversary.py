@@ -1,7 +1,8 @@
 """Configurable Byzantine behaviours for compute nodes and data sellers.
 
-Every behaviour is a pure function of its inputs and a seed, so full runs
-with adversaries replay bit-identically.
+Every behaviour takes the run's :class:`AdversaryConfig` and reads its
+strategy and parameters there.  Each is a pure function of its inputs and
+a seed, so full runs with adversaries replay bit-identically.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from .consensus import sortition
-from .errors import EmptyShard
 from .rng import derive_seed, rng_from
-from .training import Adopted, LabeledDataset, ModelWeights, State, local_update, state_digest
+from .training import Adopted, LabeledDataset, ModelWeights, State, TrainConfig
+from .training import local_update, state_digest
 
 NODE_STRATEGIES = ("random-digest", "stale-digest", "colluding-common-digest")
 SELLER_STRATEGIES = ("label-flip", "random-gradient", "scaled-gradient")
@@ -54,7 +55,7 @@ def assign_roles(
 
 
 def committee_forgery(
-    strategy: str, honest: State, prev: Adopted | None, seed: bytes, strength: float
+    config: AdversaryConfig, honest: State, prev: Adopted | None, seed: bytes
 ) -> Adopted | None:
     """Revealable state and digest every Byzantine committee member stands behind.
 
@@ -63,41 +64,46 @@ def committee_forgery(
     the first round); random-digest has none, so each node commits its
     own :func:`byzantine_node_digest`.
     """
-    if strategy == "colluding-common-digest":
-        return _poisoned(honest, seed, strength)
-    if strategy == "stale-digest":
+    if config.node_strategy == "colluding-common-digest":
+        return _poisoned(config, honest, seed)
+    if config.node_strategy == "stale-digest":
         return prev
-    if strategy == "random-digest":
-        return None
-    raise ValueError(f"unknown node strategy {strategy!r}")
+    return None
 
 
 def lone_forgery(
-    strategy: str, honest: State, prev: Adopted | None, seed: bytes, strength: float
+    config: AdversaryConfig, honest: State, prev: Adopted | None, seed: bytes
 ) -> Adopted:
     """State and digest a Byzantine single executor hands back in place of the honest ones.
 
     With nobody to outvote it, it still reveals a preimage: the committee
     forgery where there is one, else a poisoned copy of the honest state.
     """
-    return committee_forgery(strategy, honest, prev, seed, strength) or _poisoned(honest, seed, strength)
+    return committee_forgery(config, honest, prev, seed) or _poisoned(config, honest, seed)
 
 
-def byzantine_node_digest(strategy: str, seed: bytes) -> bytes:
+def byzantine_node_digest(config: AdversaryConfig, seed: bytes) -> bytes:
     """Digest a Byzantine node commits when its committee has no common forgery.
 
     A fresh hash of the node's seed: random-digest always, stale-digest
     before any round has been adopted.
     """
-    if strategy == "random-digest":
+    if config.node_strategy == "random-digest":
         return derive_seed(seed, "random-digest")
-    if strategy == "stale-digest":
+    if config.node_strategy == "stale-digest":
         return derive_seed(seed, "stale-fallback")
-    raise ValueError(f"node strategy {strategy!r} has no per-node digest")
+    raise ValueError(f"node strategy {config.node_strategy!r} has no per-node digest")
+
+
+def _noise(seed: bytes, shape: tuple[int, ...], norm: float) -> np.ndarray:
+    """Seeded Gaussian noise scaled to the given norm."""
+    noise = rng_from(seed).normal(size=shape)
+    drawn = float(np.linalg.norm(noise))
+    return noise * (norm / drawn) if drawn > 0 else noise
 
 
 def poisoned_state(
-    w: ModelWeights, p: np.ndarray, counts: np.ndarray, seed: bytes, strength: float = 3.0
+    w: ModelWeights, p: np.ndarray, counts: np.ndarray, seed: bytes, strength: float
 ) -> State:
     """Corrupted-but-revealable state Byzantine executors stand behind.
 
@@ -105,47 +111,34 @@ def poisoned_state(
     current weight norm; the bookkeeping vectors are left intact so the
     forgery is not trivially detectable from them.
     """
-    rng = rng_from(derive_seed(seed, "poison"))
-    noise = rng.normal(size=w.values.shape)
-    norm = float(np.linalg.norm(noise))
     target = strength * (1.0 + float(np.linalg.norm(w.values)))
-    noise = noise * (target / norm) if norm > 0 else noise
+    noise = _noise(derive_seed(seed, "poison"), w.values.shape, target)
     return w.with_values(w.values + noise), np.array(p, copy=True), np.array(counts, copy=True)
 
 
-def _poisoned(honest: State, seed: bytes, strength: float) -> Adopted:
-    state = poisoned_state(*honest, seed=seed, strength=strength)
+def _poisoned(config: AdversaryConfig, honest: State, seed: bytes) -> Adopted:
+    state = poisoned_state(*honest, seed=seed, strength=config.poison_strength)
     return state, state_digest(*state)
 
 
 def malicious_seller_update(
-    strategy: str,
-    w: ModelWeights,
-    shard: LabeledDataset,
-    seed: bytes,
-    epochs: int = 3,
-    lr: float = 0.01,
-    batch: int = 64,
-    scale_factor: float = 1.0,
+    config: AdversaryConfig, train: TrainConfig, w: ModelWeights, shard: LabeledDataset, seed: bytes
 ) -> np.ndarray:
     """Parameter delta a malicious seller returns.
 
     label-flip trains honestly on a label-permuted shard; random-gradient
     returns seeded Gaussian noise at the honest update's norm;
-    scaled-gradient multiplies the honest update by a factor.
+    scaled-gradient multiplies the honest update by ``scale_factor``.
     """
-    if len(shard) == 0:
-        raise EmptyShard("cannot corrupt an empty shard")
+    strategy = config.seller_strategy
     if strategy == "label-flip":
-        flipped = LabeledDataset(
+        shard = LabeledDataset(
             shard.features, (shard.labels + 1) % shard.class_count, shard.class_count
         )
-        return local_update(w, flipped, epochs=epochs, lr=lr, batch=batch, seed=seed)
-    if strategy not in SELLER_STRATEGIES:
-        raise ValueError(f"unknown seller strategy {strategy!r}")
-    honest = local_update(w, shard, epochs=epochs, lr=lr, batch=batch, seed=seed)
+    update = local_update(w, shard, epochs=train.epochs, lr=train.lr, batch=train.batch, seed=seed)
     if strategy == "scaled-gradient":
-        return scale_factor * honest
-    noise = rng_from(derive_seed(seed, "random-gradient")).normal(size=w.values.shape)
-    norm = float(np.linalg.norm(noise))
-    return noise * (float(np.linalg.norm(honest)) / norm) if norm > 0 else noise
+        return config.scale_factor * update
+    if strategy == "random-gradient":
+        norm = float(np.linalg.norm(update))
+        return _noise(derive_seed(seed, "random-gradient"), w.values.shape, norm)
+    return update

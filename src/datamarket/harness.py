@@ -173,12 +173,9 @@ class Market:
         if len(shard) == 0:
             return np.zeros_like(values)
         w = ModelWeights(values, self.spec)
-        train, adversary = self.scenario.train, self.scenario.adversary
+        train = self.scenario.train
         if seller in self.byz_sellers:
-            return adv.malicious_seller_update(
-                adversary.seller_strategy, w, shard, seed, epochs=train.epochs, lr=train.lr,
-                batch=train.batch, scale_factor=adversary.scale_factor,
-            )
+            return adv.malicious_seller_update(self.scenario.adversary, train, w, shard, seed)
         return local_update(
             w, shard, epochs=train.epochs, lr=train.lr, batch=train.batch, seed=seed
         )
@@ -300,11 +297,7 @@ def _single_executor_round(
     participation[executor] += 1
     if executor not in market.byz_nodes:
         return honest, 1
-    adversary = market.scenario.adversary
-    forged = adv.lone_forgery(
-        adversary.node_strategy, honest[0], prev, market.forgery_seed(t), adversary.poison_strength
-    )
-    return forged, 1
+    return adv.lone_forgery(market.scenario.adversary, honest[0], prev, market.forgery_seed(t)), 1
 
 
 def _consensus_round(
@@ -318,10 +311,7 @@ def _consensus_round(
     adversary = market.scenario.adversary
     forged = None
     if market.byz_nodes:
-        forged = adv.committee_forgery(
-            adversary.node_strategy, honest_state, prev, market.forgery_seed(t),
-            adversary.poison_strength,
-        )
+        forged = adv.committee_forgery(adversary, honest_state, prev, market.forgery_seed(t))
     if forged is not None:
         reveals[forged[1]] = forged[0]
 
@@ -338,7 +328,7 @@ def _consensus_round(
                 digest = forged[1]
             else:
                 digest = adv.byzantine_node_digest(
-                    adversary.node_strategy, derive_seed(root, "byz-digest", label, t, i, node)
+                    adversary, derive_seed(root, "byz-digest", label, t, i, node)
                 )
             commits.append((node, digest))
         ledger.commit_digests(t, i, commits)

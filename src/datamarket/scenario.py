@@ -19,7 +19,7 @@ from .economics import PayoffParams, geometric_catch_prob
 from .fedcore import OsmdConfig
 from .ledger import DataRequest, Ledger
 from .rng import derive_seed
-from .training import SynthSpec
+from .training import SynthSpec, TrainConfig
 
 ABLATIONS = ("none", "no-krum", "no-consensus")
 DATA_KINDS = ("synthetic", "idx")
@@ -30,20 +30,6 @@ class ConsensusConfig:
     sample_fraction: float = 0.1
     byz_fraction_max: float = 0.3
     confidence_beta: float = 0.01
-    base_size: int = 0  # 0 derives round(sample_fraction * nodes)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 3
-    lr: float = 0.01
-    batch: int = 64
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch < 1:
-            raise ValueError("train.epochs and train.batch must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("train.lr must be > 0")
 
 
 @dataclass(frozen=True)
@@ -122,6 +108,8 @@ class Scenario:
             raise ValueError(f"unknown ablation {self.ablation!r}")
         if self.hidden_units < 0:
             raise ValueError("hidden_units must be >= 0")
+        if self.timeout_blocks < 1:  # checked here too: the ledger names it commit_timeout
+            raise ValueError("timeout_blocks must be >= 1")
         # Build the derived protocol objects now so a bad value fails at
         # load, not after a run has escrowed the buyer's bid.  The osmd,
         # adversary, train and data sections check themselves; each rival
@@ -140,15 +128,12 @@ class Scenario:
         return derive_seed("scenario", self.seed)
 
     def consensus_params(self) -> ConsensusParams:
-        base = self.consensus.base_size or max(
-            1, round(self.consensus.sample_fraction * self.nodes)
-        )
         return ConsensusParams(
             total_nodes=self.nodes,
             sample_fraction=self.consensus.sample_fraction,
             byz_fraction_max=self.consensus.byz_fraction_max,
             confidence_beta=self.consensus.confidence_beta,
-            base_size=base,
+            base_size=max(1, round(self.consensus.sample_fraction * self.nodes)),
         )
 
     def payoff_params(self, seller_pool: float, node_pool: float) -> PayoffParams:
@@ -193,14 +178,14 @@ def _fields(cls) -> dict[str, type]:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _parse(raw: str, kind: type, key: str):
+def _parse(raw: str, kind: type):
     # any other type is refused, so a bool field cannot read "False" as true
     if kind in (int, float, str):
         return kind(raw)
     if kind in (tuple[int, ...], tuple[str, ...]):
         item = typing.get_args(kind)[0]
         return tuple(item(part.strip()) for part in raw.split(",") if part.strip())
-    raise ValueError(f"cannot parse config key {key!r}")
+    raise ValueError(f"no parser for values of type {kind}")
 
 
 def parse_config(text: str) -> Scenario:
@@ -208,8 +193,8 @@ def parse_config(text: str) -> Scenario:
 
     Each dataclass field of :class:`Scenario` is a section and every other
     field a top-level key.  Lines starting with ``#`` are comments; unknown
-    keys are rejected so typos fail loudly instead of silently using
-    defaults.
+    keys, keys given twice and values of the wrong type are rejected, with
+    their line, so typos fail loudly instead of silently using defaults.
     """
     fields = _fields(Scenario)
     kinds = {
@@ -217,6 +202,7 @@ def parse_config(text: str) -> Scenario:
     }
     kinds[None] = {name: kind for name, kind in fields.items() if name not in kinds}
     values: dict[str | None, dict] = {section: {} for section in kinds}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -229,7 +215,13 @@ def parse_config(text: str) -> Scenario:
             raise ValueError(f"line {lineno}: unknown section {section!r}")
         if name not in kinds[section]:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        values[section][name] = _parse(raw, kinds[section][name], key)
+        if key in first_line:
+            raise ValueError(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        try:
+            values[section][name] = _parse(raw, kinds[section][name])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     top = values.pop(None)
     return Scenario(**top, **{name: fields[name](**kw) for name, kw in values.items()})
 

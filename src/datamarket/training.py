@@ -132,6 +132,21 @@ class SynthSpec:
             raise ValueError("need dims >= class_count for distinct cluster means")
 
 
+@dataclass(frozen=True)
+class TrainConfig:
+    """Hyperparameters of every seller's :func:`local_update`, honest or not."""
+
+    epochs: int = 3
+    lr: float = 0.01
+    batch: int = 64
+
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch < 1:
+            raise ValueError("train.epochs and train.batch must be >= 1")
+        if not self.lr > 0:
+            raise ValueError("train.lr must be > 0")
+
+
 def block_rows(spec: ModelSpec) -> int:
     """Eval rows per scoring block, from the first layer's shape alone."""
     fan_in, fan_out = spec.layer_dims[:2]

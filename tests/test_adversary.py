@@ -18,6 +18,7 @@ from datamarket.rng import derive_seed, rng_from
 from datamarket.training import (
     LabeledDataset,
     ModelSpec,
+    TrainConfig,
     init_weights,
     local_update,
     state_digest,
@@ -28,6 +29,14 @@ SELLERS = list(range(40))
 
 
 SEED = derive_seed("adv")
+
+
+def nodes(strategy, strength=0.5):
+    return AdversaryConfig(node_strategy=strategy, poison_strength=strength)
+
+
+def sellers(strategy, **kw):
+    return AdversaryConfig(seller_strategy=strategy, **kw)
 
 
 def shard(rows=40, dims=4, classes=2, seed="shard"):
@@ -75,34 +84,26 @@ POISON = adopted(poisoned_state(*HONEST[0], derive_seed("byz"), strength=0.5))
 
 class TestNodeDigests:
     def test_random_digests_differ_between_nodes(self):
-        a = byzantine_node_digest("random-digest", derive_seed("a"))
-        b = byzantine_node_digest("random-digest", derive_seed("b"))
+        a = byzantine_node_digest(nodes("random-digest"), derive_seed("a"))
+        b = byzantine_node_digest(nodes("random-digest"), derive_seed("b"))
         assert a != b and HONEST[1] not in (a, b) and len(a) == 32
 
     def test_stale_without_history_falls_back_to_random(self):
-        assert committee_forgery("stale-digest", HONEST[0], None, SEED, 0.5) is None
-        out = byzantine_node_digest("stale-digest", derive_seed("y"))
+        assert committee_forgery(nodes("stale-digest"), HONEST[0], None, SEED) is None
+        out = byzantine_node_digest(nodes("stale-digest"), derive_seed("y"))
         assert out != HONEST[1] and len(out) == 32
-        assert out != byzantine_node_digest("random-digest", derive_seed("y"))
+        assert out != byzantine_node_digest(nodes("random-digest"), derive_seed("y"))
 
     def test_colluders_have_no_per_node_digest(self):
         with pytest.raises(ValueError):
-            byzantine_node_digest("colluding-common-digest", derive_seed("x"))
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            committee_forgery("withhold", HONEST[0], PREV, SEED, 0.5)
-        with pytest.raises(ValueError):
-            lone_forgery("withhold", HONEST[0], PREV, SEED, 0.5)
-        with pytest.raises(ValueError):
-            byzantine_node_digest("withhold", derive_seed("z"))
+            byzantine_node_digest(nodes("colluding-common-digest"), derive_seed("x"))
 
 
 class TestCommitteeForgery:
     @pytest.mark.parametrize("strategy", NODE_STRATEGIES)
     @pytest.mark.parametrize("prev", [None, PREV])
     def test_per_strategy(self, strategy, prev):
-        forged = committee_forgery(strategy, HONEST[0], prev, derive_seed("byz"), 0.5)
+        forged = committee_forgery(nodes(strategy), HONEST[0], prev, derive_seed("byz"))
         expected = {
             "random-digest": None,
             "stale-digest": prev,
@@ -115,16 +116,23 @@ class TestCommitteeForgery:
             assert state_digest(*forged[0]) == forged[1]  # the forgery is revealable
 
     def test_colluding_forgery_is_seeded(self):
-        a = committee_forgery("colluding-common-digest", HONEST[0], None, derive_seed("a"), 0.5)
-        b = committee_forgery("colluding-common-digest", HONEST[0], None, derive_seed("b"), 0.5)
+        colluding = nodes("colluding-common-digest")
+        a = committee_forgery(colluding, HONEST[0], None, derive_seed("a"))
+        b = committee_forgery(colluding, HONEST[0], None, derive_seed("b"))
         assert a[1] != b[1]
+
+    def test_strength_comes_from_config(self):
+        colluding = nodes("colluding-common-digest", strength=3.0)
+        forged = committee_forgery(colluding, HONEST[0], None, derive_seed("byz"))
+        assert forged[1] == state_digest(*poisoned_state(*HONEST[0], derive_seed("byz"), 3.0))
+        assert forged[1] != POISON[1]
 
 
 class TestLoneForgery:
     @pytest.mark.parametrize("strategy", NODE_STRATEGIES)
     @pytest.mark.parametrize("prev", [None, PREV])
     def test_per_strategy(self, strategy, prev):
-        forged = lone_forgery(strategy, HONEST[0], prev, derive_seed("byz"), 0.5)
+        forged = lone_forgery(nodes(strategy), HONEST[0], prev, derive_seed("byz"))
         # a lone executor always hands back a revealable state that is not the honest one
         expected = prev if strategy == "stale-digest" and prev is not None else POISON
         assert forged[1] == expected[1] != HONEST[1]
@@ -151,44 +159,51 @@ class TestSellerStrategies:
         self.w = init_weights(self.spec, derive_seed("sw"))
         self.shard = shard()
         self.seed = derive_seed("seller-seed")
+        self.train = TrainConfig()
+
+    def update(self, config, shard=None):
+        shard = self.shard if shard is None else shard
+        return malicious_seller_update(config, self.train, self.w, shard, self.seed)
 
     def test_scale_factor_one_is_honest(self):
         honest = local_update(self.w, self.shard, seed=self.seed)
-        out = malicious_seller_update(
-            "scaled-gradient", self.w, self.shard, self.seed, scale_factor=1.0
-        )
+        out = self.update(sellers("scaled-gradient", scale_factor=1.0))
         assert np.array_equal(out, honest)
 
     def test_scale_factor_multiplies(self):
         honest = local_update(self.w, self.shard, seed=self.seed)
-        out = malicious_seller_update(
-            "scaled-gradient", self.w, self.shard, self.seed, scale_factor=-10.0
-        )
+        out = self.update(sellers("scaled-gradient", scale_factor=-10.0))
         assert np.allclose(out, -10.0 * honest)
+
+    def test_train_config_sets_the_update(self):
+        train = TrainConfig(epochs=1, lr=0.5, batch=8)
+        honest = local_update(self.w, self.shard, epochs=1, lr=0.5, batch=8, seed=self.seed)
+        out = malicious_seller_update(AdversaryConfig(), train, self.w, self.shard, self.seed)
+        assert np.allclose(out, AdversaryConfig().scale_factor * honest)
 
     def test_label_flip_on_two_classes_inverts(self):
         flipped_shard = LabeledDataset(
             self.shard.features, 1 - self.shard.labels, self.shard.class_count
         )
         expected = local_update(self.w, flipped_shard, seed=self.seed)
-        out = malicious_seller_update("label-flip", self.w, self.shard, self.seed)
+        out = self.update(sellers("label-flip"))
         assert np.array_equal(out, expected)
 
     def test_random_gradient_defaults_to_honest_norm(self):
         honest = local_update(self.w, self.shard, seed=self.seed)
-        out = malicious_seller_update("random-gradient", self.w, self.shard, self.seed)
+        out = self.update(sellers("random-gradient"))
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(honest))
         assert not np.array_equal(out, honest)
 
     def test_empty_shard_rejected(self):
         empty = LabeledDataset(np.empty((0, 4)), np.empty(0, dtype=int), 2)
         with pytest.raises(EmptyShard):
-            malicious_seller_update("label-flip", self.w, empty, self.seed)
+            self.update(sellers("label-flip"), empty)
 
     def test_strategies_deterministic(self):
         for strategy in ("label-flip", "random-gradient", "scaled-gradient"):
-            a = malicious_seller_update(strategy, self.w, self.shard, self.seed)
-            b = malicious_seller_update(strategy, self.w, self.shard, self.seed)
+            a = self.update(sellers(strategy))
+            b = self.update(sellers(strategy))
             assert np.array_equal(a, b)
 
 

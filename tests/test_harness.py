@@ -371,9 +371,15 @@ class TestScenarioConfig:
         for line in ["nosuch.key = 1", "consensus = 3", "data.rows.extra = 1", ".seed = 1"]:
             with pytest.raises(ValueError, match="unknown"):
                 parse_config(line + "\n")
-        for line in ["seed = 1.5", "data.rows = many"]:
-            with pytest.raises(ValueError):
+        for line, key in [("seed = 1.5", "'seed'"), ("data.rows = many", "'data.rows'")]:
+            with pytest.raises(ValueError, match=f"^line 1: .*{key}"):
                 parse_config(line + "\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="line 3: key 'seed' already set on line 1"):
+            parse_config("seed = 1\ndata.rows = 800\nseed = 2\n")
+        with pytest.raises(ValueError, match="line 2: key 'data.rows' already set on line 1"):
+            parse_config("data.rows = 800\ndata.rows = 900\n")
 
     def test_bad_ablation_rejected(self):
         with pytest.raises(ValueError):
@@ -412,8 +418,10 @@ class TestScenarioConfig:
     def test_bad_protocol_value_fails_at_load(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
-        with pytest.raises((ValueError, DegenerateParams)):
+        with pytest.raises((ValueError, DegenerateParams)) as failure:
             load_scenario(path)
+        if line.startswith("timeout_blocks"):  # not the ledger's name, commit_timeout
+            failure.match("^timeout_blocks must be >= 1$")
 
     def test_readme_block_matches_defaults(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -552,7 +560,7 @@ class TestCli:
     def test_verify_drops_a_disqualified_digest_from_later_scores(self, tmp_path, capsys, monkeypatch):
         # Byzantine nodes that all commit one digest nobody can reveal win a
         # mini-round; the digest is disqualified and later scores omit it.
-        monkeypatch.setattr(adversary, "byzantine_node_digest", lambda strategy, seed: bytes(32))
+        monkeypatch.setattr(adversary, "byzantine_node_digest", lambda config, seed: bytes(32))
         config = AdversaryConfig(node_fraction=0.7, node_strategy="random-digest")
         out = run_out(tmp_path, quick_scenario(t_max=1, adversary=config))
         events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
