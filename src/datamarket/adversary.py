@@ -14,8 +14,7 @@ import numpy as np
 
 from .consensus import sortition
 from .rng import derive_seed, rng_from
-from .training import Adopted, LabeledDataset, ModelWeights, State, TrainConfig
-from .training import local_update, state_digest
+from .training import Adopted, LabeledDataset, ModelWeights, State, state_digest
 
 NODE_STRATEGIES = ("random-digest", "stale-digest", "colluding-common-digest")
 SELLER_STRATEGIES = ("label-flip", "random-gradient", "scaled-gradient")
@@ -121,24 +120,25 @@ def _poisoned(config: AdversaryConfig, honest: State, seed: bytes) -> Adopted:
     return state, state_digest(*state)
 
 
-def malicious_seller_update(
-    config: AdversaryConfig, train: TrainConfig, w: ModelWeights, shard: LabeledDataset, seed: bytes
-) -> np.ndarray:
-    """Parameter delta a malicious seller returns.
+def malicious_seller_shard(config: AdversaryConfig, shard: LabeledDataset) -> LabeledDataset:
+    """The shard a malicious seller trains on: label-flip permutes its labels."""
+    if config.seller_strategy != "label-flip":
+        return shard
+    return LabeledDataset(shard.features, (shard.labels + 1) % shard.class_count, shard.class_count)
 
-    label-flip trains honestly on a label-permuted shard; random-gradient
-    returns seeded Gaussian noise at the honest update's norm;
-    scaled-gradient multiplies the honest update by ``scale_factor``.
+
+def malicious_seller_update(config: AdversaryConfig, update: np.ndarray, seed: bytes) -> np.ndarray:
+    """Parameter delta a malicious seller returns for the update it trained.
+
+    The update comes from training on :func:`malicious_seller_shard` with
+    the seller's own seed.  label-flip returns it as it is; random-gradient
+    returns seeded Gaussian noise at its norm; scaled-gradient multiplies
+    it by ``scale_factor``.
     """
     strategy = config.seller_strategy
-    if strategy == "label-flip":
-        shard = LabeledDataset(
-            shard.features, (shard.labels + 1) % shard.class_count, shard.class_count
-        )
-    update = local_update(w, shard, epochs=train.epochs, lr=train.lr, batch=train.batch, seed=seed)
     if strategy == "scaled-gradient":
         return config.scale_factor * update
     if strategy == "random-gradient":
         norm = float(np.linalg.norm(update))
-        return _noise(derive_seed(seed, "random-gradient"), w.values.shape, norm)
+        return _noise(derive_seed(seed, "random-gradient"), update.shape, norm)
     return update

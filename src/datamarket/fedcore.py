@@ -187,10 +187,13 @@ def mean_aggregate(candidates: Sequence[np.ndarray]) -> np.ndarray:
 class SellerOracle(Protocol):
     """Interface a round uses to reach sellers and score models."""
 
-    def local_delta(self, seller: int, values: np.ndarray, seed: bytes) -> np.ndarray:
-        """Parameter delta proposed by one seller for the given weights.
+    def local_deltas(
+        self, sellers: Sequence[int], values: np.ndarray, seeds: Sequence[bytes]
+    ) -> np.ndarray:
+        """Parameter deltas the given sellers propose for the weights, as a (k, P) matrix.
 
-        ``seed`` is the seller's own, ``derive_seed(round_seed, "seller", seller)``.
+        Row j is seller ``sellers[j]``'s delta, and ``seeds[j]`` is that
+        seller's own seed, ``derive_seed(round_seed, "seller", sellers[j])``.
         """
 
     def utility(self, stack: np.ndarray) -> np.ndarray:
@@ -225,8 +228,9 @@ def run_federated_round(
 
     Deterministic in (inputs, seed); every honest executor given the same
     arguments produces a bit-identical result.  Each distinct sampled
-    seller contributes one candidate row, in seller-index order.  The base
-    weights and all candidates are scored in one oracle call.
+    seller contributes one candidate row, in seller-index order.  The
+    sellers train in one oracle call, and the base weights and all
+    candidates are scored in another.
     """
     values = np.asarray(values, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -234,10 +238,8 @@ def run_federated_round(
 
     sample = sample_sellers(p, k, derive_seed(seed, "sample"))
     sampled_sellers = sorted(int(i) for i in set(sample.tolist()))
-    deltas = np.array(
-        [oracle.local_delta(i, values, derive_seed(seed, "seller", i)) for i in sampled_sellers],
-        dtype=float,
-    )
+    seller_seeds = [derive_seed(seed, "seller", i) for i in sampled_sellers]
+    deltas = oracle.local_deltas(sampled_sellers, values, seller_seeds)
 
     new_counts = update_access_counts(counts, sample)
 

@@ -41,7 +41,7 @@ from .training import (
     evaluate_metric,
     init_weights,
     load_idx,
-    local_update,
+    local_updates,
     partition_shards,
     split_dataset,
     state_digest,
@@ -168,17 +168,29 @@ class Market:
         weights = init_weights(self.spec, derive_seed(self.root, "init"))
         return weights, np.full(n, 1.0 / n), np.zeros(n, dtype=np.int64)
 
-    def local_delta(self, seller: int, values: np.ndarray, seed: bytes) -> np.ndarray:
-        shard = self.shards[seller]
-        if len(shard) == 0:
-            return np.zeros_like(values)
-        w = ModelWeights(values, self.spec)
-        train = self.scenario.train
-        if seller in self.byz_sellers:
-            return adv.malicious_seller_update(self.scenario.adversary, train, w, shard, seed)
-        return local_update(
-            w, shard, epochs=train.epochs, lr=train.lr, batch=train.batch, seed=seed
+    def local_deltas(
+        self, sellers: Sequence[int], values: np.ndarray, seeds: Sequence[bytes]
+    ) -> np.ndarray:
+        """The sellers' deltas for the weights, every non-empty shard trained in one call.
+
+        A seller with an empty shard proposes a zero delta.  A Byzantine
+        seller trains on its adversarial shard, and its update is then
+        transformed by its strategy.
+        """
+        adversary, train = self.scenario.adversary, self.scenario.train
+        deltas = np.zeros((len(sellers), len(values)))
+        rows = [j for j, i in enumerate(sellers) if len(self.shards[i])]
+        byz = [j for j in rows if sellers[j] in self.byz_sellers]
+        shards = {j: self.shards[sellers[j]] for j in rows}
+        for j in byz:
+            shards[j] = adv.malicious_seller_shard(adversary, shards[j])
+        deltas[rows] = local_updates(
+            ModelWeights(values, self.spec), list(shards.values()), [seeds[j] for j in rows],
+            epochs=train.epochs, lr=train.lr, batch=train.batch,
         )
+        for j in byz:
+            deltas[j] = adv.malicious_seller_update(adversary, deltas[j], seeds[j])
+        return deltas
 
     def utility(self, stack: np.ndarray) -> np.ndarray:
         return utility(self.spec, stack, self.utility_set)

@@ -36,7 +36,15 @@ def derive_seed(*parts: bytes | str | int) -> bytes:
 
 
 def rng_from(seed: bytes) -> np.random.Generator:
-    """Build a PCG64 generator from a 32-byte seed."""
+    """Build a PCG64 generator from a 32-byte seed.
+
+    The stream is that of ``PCG64(int.from_bytes(seed, "big"))``.  PCG64's
+    SeedSequence is handed the 32-bit words numpy would take from that
+    integer, least significant first with the zero high words dropped
+    (one word for an all-zero seed), which skips numpy's conversion of the
+    integer word by word.
+    """
     if len(seed) != SEED_BYTES:
         raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
-    return np.random.Generator(np.random.PCG64(int.from_bytes(seed, "big")))
+    words = max(1, (len(seed.lstrip(b"\0")) + 3) // 4)
+    return np.random.Generator(np.random.PCG64(np.frombuffer(seed[::-1], dtype="<u4")[:words]))

@@ -193,8 +193,9 @@ def parse_config(text: str) -> Scenario:
 
     Each dataclass field of :class:`Scenario` is a section and every other
     field a top-level key.  Lines starting with ``#`` are comments; unknown
-    keys, keys given twice and values of the wrong type are rejected, with
-    their line, so typos fail loudly instead of silently using defaults.
+    keys, keys given twice, values of the wrong type and section values out
+    of range are rejected, with their lines, so typos fail loudly instead
+    of silently using defaults.
     """
     fields = _fields(Scenario)
     kinds = {
@@ -223,7 +224,16 @@ def parse_config(text: str) -> Scenario:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     top = values.pop(None)
-    return Scenario(**top, **{name: fields[name](**kw) for name, kw in values.items()})
+    sections = {}
+    for name, kw in values.items():
+        try:
+            sections[name] = fields[name](**kw)
+        except ValueError as exc:  # a section checks its values together: name every line
+            keys = [f"{name}.{key}" for key in kw]
+            lines = ", ".join(str(first_line[key]) for key in keys)
+            where = f"line{'s' if len(keys) > 1 else ''} {lines} ({', '.join(keys)})"
+            raise ValueError(f"{where}: bad {name!r} section: {exc}") from None
+    return Scenario(**top, **sections)
 
 
 def load_scenario(path: str | Path) -> Scenario:

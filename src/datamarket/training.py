@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from hashlib import sha256
+from typing import Sequence
 
 import numpy as np
 
@@ -225,13 +226,18 @@ def _layers(values: np.ndarray, dims: tuple[int, ...]) -> list[tuple[np.ndarray,
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _forward(layers, features: np.ndarray):
-    """Logits and each layer's input: the features, then every tanh hidden layer."""
+    """Logits and each layer's input: the features, then every tanh hidden layer.
+
+    Features of (g, rows, d), with each layer's matrix (g, fan_in, fan_out)
+    and bias (g, 1, fan_out), run g models at once, each on its own batch;
+    every product is then one BLAS call per model.
+    """
     inputs = [features]
     for matrix, bias in layers[:-1]:
         inputs.append(np.tanh(inputs[-1] @ matrix + bias))
@@ -244,16 +250,20 @@ def predict_logits(w: ModelWeights, features: np.ndarray) -> np.ndarray:
 
 
 def _backward(layers, inputs, labels: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Flat gradient of the mean cross-entropy, last layer first; overwrites probs."""
-    n = len(labels)
-    probs[np.arange(n), labels] -= 1.0
+    """Flat gradient of the mean cross-entropy, last layer first; overwrites probs.
+
+    Labels of (g, rows) give one gradient per model of a stack, as (g, P).
+    """
+    lead, n = labels.shape[:-1], labels.shape[-1]
+    probs -= labels[..., None] == np.arange(probs.shape[-1])  # 1 at each row's label
     err = probs / n
     grads = []
     for k in reversed(range(len(layers))):
-        grads[:0] = [(inputs[k].T @ err).ravel(), err.sum(axis=0)]
+        product = inputs[k].swapaxes(-1, -2) @ err
+        grads[:0] = [product.reshape(*lead, -1), err.sum(axis=-2)]
         if k:
-            err = (err @ layers[k][0].T) * (1.0 - inputs[k] ** 2)
-    return np.concatenate(grads)
+            err = (err @ layers[k][0].swapaxes(-1, -2)) * (1.0 - inputs[k] ** 2)
+    return np.concatenate(grads, axis=-1)
 
 
 def loss_and_grad(w: ModelWeights, features: np.ndarray, labels: np.ndarray):
@@ -275,32 +285,70 @@ def local_update(
 ) -> np.ndarray:
     """Parameter delta after mini-batch gradient descent on the shard.
 
-    Row order is reshuffled each epoch from the seed, so the result is a
-    pure function of (w, shard, hyperparameters, seed).
+    The one-shard case of :func:`local_updates`.
     """
-    if len(shard) == 0:
+    return local_updates(w, [shard], [seed], epochs=epochs, lr=lr, batch=batch)[0]
+
+
+def local_updates(
+    w: ModelWeights,
+    shards: Sequence[LabeledDataset],
+    seeds: Sequence[bytes],
+    epochs: int = 3,
+    lr: float = 0.01,
+    batch: int = 64,
+) -> np.ndarray:
+    """Each shard's parameter delta after mini-batch gradient descent from w, as a (k, P) matrix.
+
+    Shard i's rows are reshuffled each epoch from seeds[i].  At each batch
+    offset, the shards whose batch there has the same row count take one
+    step together over a (g, rows, d) stack; shards are grouped, never
+    padded, and each model of a stack gets its own products.  So row i is
+    a pure function of (w, shards[i], hyperparameters, seeds[i]),
+    bit-identical to training that shard alone.
+    """
+    sizes = [len(shard) for shard in shards]
+    if 0 in sizes:
         raise EmptyShard("cannot train on an empty shard")
-    rng = rng_from(seed)
-    local = w.values.copy()
-    layers = _layers(local, w.spec.layer_dims)  # views, so each step sees the last
+    if not shards:
+        return np.empty((0, w.spec.param_count))
+    features = np.concatenate([shard.features for shard in shards])
+    labels = np.concatenate([shard.labels for shard in shards])
+    firsts = np.cumsum(sizes) - sizes  # where each shard's rows begin in the pool
+    groups: dict[tuple[int, int], list[int]] = {}  # (offset, batch rows) -> shards
+    for i, size in enumerate(sizes):
+        for start in range(0, size, batch):
+            groups.setdefault((start, min(batch, size - start)), []).append(i)
+    # Each step: its shards, and where their batches lie in an epoch's order of the pool.
+    steps = [
+        (members, (firsts[members] + start)[:, None] + np.arange(rows))
+        for (start, rows), members in groups.items()
+    ]
+    rngs = [rng_from(seed) for seed in seeds]
+    local = np.tile(w.values, (len(shards), 1))
     for _ in range(epochs):
-        order = rng.permutation(len(shard))
-        for start in range(0, len(order), batch):
-            rows = order[start : start + batch]
-            logits, inputs = _forward(layers, shard.features[rows])
-            local -= lr * _backward(layers, inputs, shard.labels[rows], _softmax(logits))
+        order = np.concatenate([rng.permutation(size) for rng, size in zip(rngs, sizes)])
+        order += np.repeat(firsts, sizes)
+        for members, positions in steps:
+            rows = order[positions]
+            models = local[members]
+            layers = [(m, b[:, None]) for m, b in _layers(models, w.spec.layer_dims)]
+            logits, inputs = _forward(layers, features[rows])
+            local[members] = models - lr * _backward(layers, inputs, labels[rows], _softmax(logits))
     return local - w.values
 
 
 def predict_labels(w: ModelWeights, features: np.ndarray) -> np.ndarray:
     """Argmax class of every row, computed in the row blocks that utility() uses."""
     layers = _layers(w.values, w.spec.layer_dims)
+    rows = block_rows(w.spec)
+    if len(features) <= rows:  # one block: no block mapping
+        return _forward(layers, features)[0].argmax(axis=1)
 
     def run_labels(run: list[slice]) -> list[np.ndarray]:
         return [_forward(layers, features[block])[0].argmax(axis=1) for block in run]
 
-    labels = _map_runs(run_labels, len(features), block_rows(w.spec))
-    return np.concatenate(labels) if labels else np.empty(0, dtype=np.intp)
+    return np.concatenate(_map_runs(run_labels, len(features), rows))
 
 
 def evaluate_metric(w: ModelWeights, eval_set: LabeledDataset) -> float:

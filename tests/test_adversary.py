@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import quick_scenario
 from datamarket.adversary import (
     NODE_STRATEGIES,
     AdversaryConfig,
@@ -10,10 +11,12 @@ from datamarket.adversary import (
     byzantine_node_digest,
     committee_forgery,
     lone_forgery,
+    malicious_seller_shard,
     malicious_seller_update,
     poisoned_state,
 )
 from datamarket.errors import EmptyShard
+from datamarket.harness import Market
 from datamarket.rng import derive_seed, rng_from
 from datamarket.training import (
     LabeledDataset,
@@ -162,8 +165,13 @@ class TestSellerStrategies:
         self.train = TrainConfig()
 
     def update(self, config, shard=None):
-        shard = self.shard if shard is None else shard
-        return malicious_seller_update(config, self.train, self.w, shard, self.seed)
+        """Train the seller's adversarial shard, then transform the update, as a round does."""
+        shard = malicious_seller_shard(config, self.shard if shard is None else shard)
+        train = self.train
+        trained = local_update(
+            self.w, shard, epochs=train.epochs, lr=train.lr, batch=train.batch, seed=self.seed
+        )
+        return malicious_seller_update(config, trained, self.seed)
 
     def test_scale_factor_one_is_honest(self):
         honest = local_update(self.w, self.shard, seed=self.seed)
@@ -177,9 +185,12 @@ class TestSellerStrategies:
 
     def test_train_config_sets_the_update(self):
         train = TrainConfig(epochs=1, lr=0.5, batch=8)
-        honest = local_update(self.w, self.shard, epochs=1, lr=0.5, batch=8, seed=self.seed)
-        out = malicious_seller_update(AdversaryConfig(), train, self.w, self.shard, self.seed)
-        assert np.allclose(out, AdversaryConfig().scale_factor * honest)
+        adversary = AdversaryConfig(seller_fraction=1.0)
+        market = Market.standalone(quick_scenario(train=train, adversary=adversary))
+        w = market.initial_state()[0]
+        honest = local_update(w, market.shards[3], epochs=1, lr=0.5, batch=8, seed=self.seed)
+        out = market.local_deltas([3], w.values, [self.seed])
+        assert np.array_equal(out, [adversary.scale_factor * honest])
 
     def test_label_flip_on_two_classes_inverts(self):
         flipped_shard = LabeledDataset(

@@ -222,9 +222,10 @@ class _StubOracle:
         self.round_seed = round_seed
         self.scored: list[np.ndarray] = []
 
-    def local_delta(self, seller, values, seed):
-        assert seed == derive_seed(self.round_seed, "seller", seller)
-        return self.deltas[seller]
+    def local_deltas(self, sellers, values, seeds):
+        for seller, seed in zip(sellers, seeds, strict=True):
+            assert seed == derive_seed(self.round_seed, "seller", seller)
+        return np.array([self.deltas[seller] for seller in sellers], dtype=float)
 
     def utility(self, stack):
         self.scored.append(np.array(stack))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import quick_scenario, robustness_scenario
-from datamarket import adversary
+from datamarket import adversary, harness
 from datamarket.cli import main as cli_main
 from datamarket.consensus import execution_set_size, threshold
 from datamarket.economics import analyze_payoffs
@@ -28,6 +28,7 @@ from datamarket.harness import (
 )
 from datamarket.ledger import Ledger
 from datamarket.metrics import MetricsSink, agreement_csv, rounds_csv
+from datamarket.rng import derive_seed
 from datamarket.scenario import (
     AdversaryConfig,
     DataConfig,
@@ -37,6 +38,7 @@ from datamarket.scenario import (
     load_scenario,
     parse_config,
 )
+from datamarket.training import ModelWeights, local_update, state_digest
 
 
 def conserved(ledger: Ledger) -> bool:
@@ -218,6 +220,74 @@ class TestStaleAdversary:
         assert any(a == b for a, b in zip(digests, digests[1:]))
 
 
+class OneAtATime(Market):
+    """Reference oracle: every sampled seller trains alone, as it would on its own machine."""
+
+    empty_byzantine_sampled = 0
+
+    def local_deltas(self, sellers, values, seeds):
+        config, train = self.scenario.adversary, self.scenario.train
+        w = ModelWeights(values, self.spec)
+        deltas = []
+        for seller, seed in zip(sellers, seeds):
+            shard = self.shards[seller]
+            byzantine = seller in self.byz_sellers
+            if not len(shard):  # a zero delta, never transformed: -10 * 0 would be -0.0
+                OneAtATime.empty_byzantine_sampled += byzantine
+                deltas.append(np.zeros_like(values))
+                continue
+            if byzantine:
+                shard = adversary.malicious_seller_shard(config, shard)
+            delta = local_update(
+                w, shard, epochs=train.epochs, lr=train.lr, batch=train.batch, seed=seed
+            )
+            if byzantine:
+                delta = adversary.malicious_seller_update(config, delta, seed)
+            deltas.append(delta)
+        return np.array(deltas)
+
+
+class TestStackedTraining:
+    @pytest.mark.parametrize("hidden", [0, 8])
+    @pytest.mark.parametrize("strategy", adversary.SELLER_STRATEGIES)
+    def test_run_matches_training_one_seller_at_a_time(self, monkeypatch, strategy, hidden):
+        # skewed shards: empty ones (some Byzantine), some of a few rows, some of several batches
+        base = quick_scenario(t_max=4, hidden_units=hidden)
+        scenario = replace(
+            base,
+            data=replace(base.data, partition_alpha=0.05),
+            adversary=AdversaryConfig(
+                node_fraction=0.3, seller_fraction=0.5, seller_strategy=strategy
+            ),
+        )
+        stacked = run_auction_to_completion(scenario)
+        monkeypatch.setattr(harness, "Market", OneAtATime)
+        monkeypatch.setattr(OneAtATime, "empty_byzantine_sampled", 0)
+        alone = run_auction_to_completion(scenario)
+        assert OneAtATime.empty_byzantine_sampled > 0
+        assert len(alone.run.records) == scenario.t_max
+        assert state_digest(alone.run.weights, alone.run.probabilities, alone.run.access_counts) == (
+            state_digest(stacked.run.weights, stacked.run.probabilities, stacked.run.access_counts)
+        )
+        assert alone.ledger.tx_log_ndjson() == stacked.ledger.tx_log_ndjson()
+
+
+    @pytest.mark.parametrize("strategy", adversary.SELLER_STRATEGIES)
+    def test_empty_shard_proposes_a_plain_zero_delta(self, strategy):
+        base = quick_scenario()
+        scenario = replace(
+            base,
+            data=replace(base.data, partition_alpha=0.05),
+            adversary=AdversaryConfig(seller_fraction=0.5, seller_strategy=strategy),
+        )
+        market = Market.standalone(scenario)
+        empty = [i for i in sorted(market.byz_sellers) if not len(market.shards[i])]
+        values = market.initial_state()[0].values
+        deltas = market.local_deltas(empty, values, [derive_seed("empty", i) for i in empty])
+        assert empty and deltas.shape == (len(empty), len(values))
+        assert not deltas.any() and not np.signbit(deltas).any()  # no transform's -0.0
+
+
 class TestPipeline:
     def test_competing_bids_and_split(self):
         scenario = quick_scenario(competing_bids=(100,))
@@ -380,6 +450,18 @@ class TestScenarioConfig:
             parse_config("seed = 1\ndata.rows = 800\nseed = 2\n")
         with pytest.raises(ValueError, match="line 2: key 'data.rows' already set on line 1"):
             parse_config("data.rows = 800\ndata.rows = 900\n")
+
+    def test_out_of_range_section_value_names_its_lines_and_keys(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^line 2 \(adversary\.node_fraction\): .*node_fraction must lie in \[0, 1\]$",
+        ):
+            parse_config("seed = 1\nadversary.node_fraction = 2")
+        with pytest.raises(
+            ValueError,
+            match=r"^lines 1, 3 \(osmd\.learning_rate, osmd\.batch_size\): .*batch_size must be >= 1$",
+        ):
+            parse_config("osmd.learning_rate = 0.5\nseed = 1\nosmd.batch_size = 0\n")
 
     def test_bad_ablation_rejected(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from datamarket.training import (
     init_weights,
     load_idx,
     local_update,
+    local_updates,
     loss_and_grad,
     predict_labels,
     predict_logits,
@@ -106,6 +107,55 @@ class TestLocalUpdate:
         assert after < before
 
 
+def trained_alone(w: ModelWeights, shard: LabeledDataset, epochs, lr, batch, seed):
+    """Reference: the per-shard training loop, stepping on the 2-D gradient of loss_and_grad."""
+    rng = rng_from(seed)
+    local = w.values.copy()
+    for _ in range(epochs):
+        order = rng.permutation(len(shard))
+        for start in range(0, len(order), batch):
+            rows = order[start : start + batch]
+            _, grad = loss_and_grad(w.with_values(local), shard.features[rows], shard.labels[rows])
+            local -= lr * grad
+    return local - w.values
+
+
+class TestLocalUpdates:
+    BATCH = 8
+
+    @pytest.mark.parametrize("hidden", [0, 6])
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_rows_bit_identical_to_training_alone(self, hidden, epochs):
+        b = self.BATCH
+        # repeated sizes share stacks at every offset; the others train alone at their last one
+        sizes = [1, b - 1, b, b + 1, 2 * b + 3, b, b + 1, 2 * b + 3, 1]
+        shards = [small_dataset(seed=i, rows=rows) for i, rows in enumerate(sizes)]
+        # label-flipped labels, as a Byzantine seller trains on them
+        shards[5:7] = [
+            LabeledDataset(s.features, (s.labels + 1) % s.class_count, s.class_count)
+            for s in shards[5:7]
+        ]
+        seeds = [derive_seed("stacked", i) for i in range(len(shards))]
+        spec = ModelSpec(5, 3, hidden=hidden)
+        w = ModelWeights(rng_from(derive_seed("w0", hidden)).normal(size=spec.param_count), spec)
+        stacked = local_updates(w, shards, seeds, epochs=epochs, lr=0.3, batch=b)
+        assert stacked.shape == (len(shards), spec.param_count)
+        for row, shard, seed in zip(stacked, shards, seeds):
+            alone = local_update(w, shard, epochs=epochs, lr=0.3, batch=b, seed=seed)
+            assert np.array_equal(row, alone)
+            assert np.array_equal(alone, trained_alone(w, shard, epochs, 0.3, b, seed))
+
+    def test_any_empty_shard_rejected(self):
+        w = init_weights(ModelSpec(5, 3), derive_seed("e"))
+        empty = LabeledDataset(np.empty((0, 5)), np.empty(0, dtype=int), 3)
+        with pytest.raises(EmptyShard):
+            local_updates(w, [small_dataset(), empty], [derive_seed("a"), derive_seed("b")])
+
+    def test_no_shards_no_rows(self):
+        w = init_weights(ModelSpec(5, 3), derive_seed("none"))
+        assert local_updates(w, [], []).shape == (0, w.spec.param_count)
+
+
 class TestPredictLogits:
     def test_mlp_follows_flat_layout(self):
         # the flat parameter vector is [W1, b1, W2, b2], each matrix row-major
@@ -160,6 +210,17 @@ class TestEvaluateMetric:
         expected = predict_logits(w, data.features).argmax(axis=1)
         assert np.array_equal(predict_labels(w, data.features), expected)
         assert evaluate_metric(w, data) == float(np.mean(expected == data.labels))
+
+
+    def test_single_block_maps_no_runs(self, monkeypatch):
+        def no_runs(*args):
+            raise AssertionError("a set of one block is labelled inline")
+
+        monkeypatch.setattr(training, "_map_runs", no_runs)
+        data = small_dataset(rows=100)
+        w = init_weights(ModelSpec(5, 3, hidden=7), derive_seed("inline"))
+        expected = predict_logits(w, data.features).argmax(axis=1)
+        assert np.array_equal(predict_labels(w, data.features), expected)
 
 
 class TestUtility:
