@@ -179,13 +179,12 @@ class Market:
         """
         adversary, train = self.scenario.adversary, self.scenario.train
         deltas = np.zeros((len(sellers), len(values)))
-        rows = [j for j, i in enumerate(sellers) if len(self.shards[i])]
-        byz = [j for j in rows if sellers[j] in self.byz_sellers]
-        shards = {j: self.shards[sellers[j]] for j in rows}
+        shards = {j: self.shards[i] for j, i in enumerate(sellers) if len(self.shards[i])}
+        byz = [j for j in shards if sellers[j] in self.byz_sellers]
         for j in byz:
             shards[j] = adv.malicious_seller_shard(adversary, shards[j])
-        deltas[rows] = local_updates(
-            ModelWeights(values, self.spec), list(shards.values()), [seeds[j] for j in rows],
+        deltas[list(shards)] = local_updates(
+            ModelWeights(values, self.spec), list(shards.values()), [seeds[j] for j in shards],
             epochs=train.epochs, lr=train.lr, batch=train.batch,
         )
         for j in byz:
