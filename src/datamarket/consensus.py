@@ -85,7 +85,7 @@ def sortition(seed: bytes, nodes: Sequence[str], size: int) -> tuple[str, ...]:
     if size > len(nodes):
         raise SizeExceedsPopulation(f"size {size} > population {len(nodes)}")
     order = rng_from(seed).permutation(len(nodes))[:size]
-    return tuple(nodes[int(j)] for j in order)
+    return tuple([nodes[j] for j in order.tolist()])
 
 
 def likelihood_scores(
@@ -189,19 +189,24 @@ def agree(
 
     Returns the accepted digest and the number of mini-rounds; raises
     NoConsensus when no revealable digest is left at the population cap.
+
+    The scores equal :func:`likelihood_scores` over every mini-round so
+    far, kept as running sums so that a mini-round adds only its own counts.
     """
-    counts_by_round: list[Mapping[bytes, int]] = []
-    sizes: list[int] = []
+    cross: dict[bytes, int] = {}  # digest -> sum over mini-rounds of 2·c·C
+    squares = 0  # sum over mini-rounds of C²
     disqualified: set[bytes] = set()
     i = 0
     while True:
         i += 1
         size = execution_set_size(i, params.base_size, cap=params.total_nodes)
-        counts_by_round.append(commit(i, size))
-        sizes.append(size)
-        scores = likelihood_scores(counts_by_round, sizes)
-        if disqualified:
-            scores = {k: v for k, v in scores.items() if k not in disqualified}
+        counts = commit(i, size)
+        if sum(counts.values()) > size:
+            raise ValueError(f"mini-round {i} has more commits than seats")
+        for k, c in counts.items():
+            cross[k] = cross.get(k, 0) + 2 * c * size
+        squares += size * size
+        scores = {k: v - squares for k, v in cross.items() if k not in disqualified}
         accepted = decide(scores, theta)
         exhausted = size >= params.total_nodes
         if accepted is None and exhausted:

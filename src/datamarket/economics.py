@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping
 
@@ -49,17 +50,20 @@ def _proportional_split(total: int, weights: Mapping[str, float]) -> dict[str, i
 
     Each weight becomes an exact integer ratio over one common denominator,
     so the floors are exact even for float weights and the shares always
-    sum to the total.
+    sum to the total.  Equal weights get equal shares, so the ratio and the
+    floor are worked out once per distinct weight.
     """
-    if not weights or all(w == 0 for w in weights.values()):
+    multiplicity = Counter(weights.values())
+    if not multiplicity or all(w == 0 for w in multiplicity):
         raise EmptyContributors("no positive weights to split over")
-    if any(w < 0 for w in weights.values()):
+    if any(w < 0 for w in multiplicity):
         raise ValueError("weights must be non-negative")
-    ratios = [_integer_ratio(w) for w in weights.values()]
-    common = math.lcm(*(den for _, den in ratios))
-    scaled = [num * (common // den) for num, den in ratios]
-    scale = sum(scaled)
-    shares = {key: total * n // scale for key, n in zip(weights, scaled)}
+    ratios = {w: _integer_ratio(w) for w in multiplicity}
+    common = math.lcm(*(den for _, den in ratios.values()))
+    scaled = {w: num * (common // den) for w, (num, den) in ratios.items()}
+    scale = sum(n * multiplicity[w] for w, n in scaled.items())
+    share = {w: total * n // scale for w, n in scaled.items()}
+    shares = {key: share[w] for key, w in weights.items()}
     shares[min(shares)] += total - sum(shares.values())
     return shares
 

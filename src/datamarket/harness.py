@@ -102,7 +102,7 @@ def build_splits(scenario: Scenario) -> DatasetSplits:
 
 def _ids(prefix: str, count: int) -> tuple[str, ...]:
     """Participant ids: ``s000``, ``s001``, ... for sellers, ``n000``, ... for nodes."""
-    return tuple(f"{prefix}{i:03d}" for i in range(count))
+    return tuple([f"{prefix}{i:03d}" for i in range(count)])
 
 
 def _seller_shards(scenario: Scenario, splits: DatasetSplits) -> list[LabeledDataset]:
@@ -118,7 +118,8 @@ class Market:
 
     Seller ``i`` of a round is ``seller_ids[i]``, holding ``shards[i]``: the
     sellers the auction matched, in id order, or every seller of the
-    scenario in a standalone run.  The market is also the rounds'
+    scenario in a standalone run.  ``node_ids`` is the run's one node
+    table, the ids the ledger registered.  The market is also the rounds'
     :class:`fedcore.SellerOracle`.
     """
 
@@ -136,12 +137,13 @@ class Market:
 
     @classmethod
     def build(
-        cls, scenario: Scenario, label: str, seller_ids: Sequence[str], splits: DatasetSplits,
-        shards: Sequence[LabeledDataset],
+        cls, scenario: Scenario, label: str, seller_ids: Sequence[str], node_ids: tuple[str, ...],
+        splits: DatasetSplits, shards: Sequence[LabeledDataset],
     ) -> Market:
-        """The market over these sellers; nodes and Byzantine roles follow from the scenario."""
+        """The market over these sellers and nodes; Byzantine roles follow from the scenario."""
+        if len(node_ids) != scenario.nodes:
+            raise ValueError(f"the scenario has {scenario.nodes} nodes, not {len(node_ids)}")
         root = scenario.root_seed
-        node_ids = _ids("n", scenario.nodes)
         byz_nodes, byz_sellers = adv.assign_roles(
             node_ids, range(len(seller_ids)), scenario.adversary, derive_seed(root, "adversary")
         )
@@ -160,7 +162,10 @@ class Market:
         """Every seller of the scenario, outside any auction."""
         splits = build_splits(scenario)
         shards = _seller_shards(scenario, splits)
-        return cls.build(scenario, "standalone", _ids("s", scenario.sellers), splits, shards)
+        return cls.build(
+            scenario, "standalone", _ids("s", scenario.sellers), _ids("n", scenario.nodes), splits,
+            shards,
+        )
 
     def initial_state(self) -> State:
         """Seeded initial weights, a uniform distribution and zero access counts."""
@@ -241,7 +246,7 @@ def run_core(
         ledger.register_nodes(market.node_ids)
 
     tau = scenario.request.threshold
-    participation: dict[str, int] = {nid: 0 for nid in market.node_ids}
+    participation: dict[str, int] = dict.fromkeys(market.node_ids, 0)
     records: list[dict] = []
     prev: Adopted | None = None
     wrong_adoptions = 0
@@ -381,7 +386,8 @@ def run_auction_to_completion(
         rivals.append((rival, amount))
 
     seller_ids = [ledger.register_user(sid, is_buyer=False) for sid in _ids("s", scenario.sellers)]
-    ledger.register_nodes(_ids("n", scenario.nodes))
+    node_ids = _ids("n", scenario.nodes)
+    ledger.register_nodes(node_ids)
     registry_tags = frozenset(scenario.data.registry_tags) or request.tags
     for sid, shard in zip(seller_ids, shards):
         ledger.register_dataset(sid, registry_tags, len(shard))
@@ -405,20 +411,20 @@ def run_auction_to_completion(
         scenario,
         "+".join(sorted(request.tags)),
         matched_ids,
+        node_ids,
         splits,
         [shards[index_of[sid]] for sid in matched_ids],
     )
     run = run_core(scenario, market=market, ledger=ledger, sink=sink)
 
     contribs = {sid: int(run.access_counts[k]) for k, sid in enumerate(matched_ids)}
-    node_counts = {nid: count for nid, count in run.participation.items()}
-    if sum(contribs.values()) == 0 or sum(node_counts.values()) == 0:
+    if sum(contribs.values()) == 0 or sum(run.participation.values()) == 0:
         ledger.refund_settlement(settlement)
         return PipelineResult(
             ledger=ledger, run=run, revenue=None, payoff=None, winner=winner, refunded=True
         )
 
-    revenue = distribute_revenue(won_request.amount, contribs, node_counts)
+    revenue = distribute_revenue(won_request.amount, contribs, run.participation)
     ledger.payout_escrow(settlement, revenue.transfers)
 
     rounds_for_analysis = max((rec["mini_rounds"] for rec in run.records), default=1)

@@ -36,6 +36,9 @@ class Role(str, Enum):
     NODE = "node"
 
 
+_ROLE_NAMES = {role: role.value for role in Role}
+
+
 @dataclass
 class Account:
     id: str
@@ -176,15 +179,18 @@ class Ledger:
         return node_id
 
     def register_nodes(self, node_ids: Iterable[str]) -> None:
-        """Register compute nodes as one transaction; a repeated or known id refuses them all."""
+        """Register compute nodes as one transaction; a repeated or known id refuses them all.
+
+        The error names the first offending id in batch order.
+        """
         node_ids = list(node_ids)
-        batch: set[str] = set()
+        accounts, role = self.accounts, Role.NODE
+        fresh: dict[str, Account] = {}
         for node_id in node_ids:
-            if node_id in self.accounts or node_id in batch:
+            if node_id in accounts or node_id in fresh:
                 raise DuplicateId(f"account {node_id!r} already registered")
-            batch.add(node_id)
-        for node_id in node_ids:
-            self.accounts[node_id] = Account(id=node_id, balance=0, role=Role.NODE)
+            fresh[node_id] = Account(node_id, 0, role)
+        accounts.update(fresh)
         self._log("register_nodes", node_ids=node_ids)
 
     def mint(self, account_id: str, amount: int) -> None:
@@ -304,12 +310,13 @@ class Ledger:
             raise KeyError(f"unknown settlement {settlement_id}")
         if sum(transfers.values()) != settlement.highest_bid:
             raise ValueError("transfers do not sum to the escrowed amount")
-        if any(v < 0 for v in transfers.values()):
+        if min(transfers.values(), default=0) < 0:
             raise ValueError("transfers must be non-negative")
-        for account_id in transfers:
-            self._account(account_id)
+        accounts = self.accounts
+        if not transfers.keys() <= accounts.keys():
+            self._account(next(k for k in transfers if k not in accounts))
         for account_id, value in transfers.items():
-            self.accounts[account_id].balance += value
+            accounts[account_id].balance += value
         del self.settlements[settlement_id]
         transfers = dict(sorted(transfers.items()))
         self._log("payout_escrow", settlement_id=settlement_id, transfers=transfers)
@@ -409,8 +416,8 @@ class Ledger:
             "total_supply": self.total_supply,
             "fees_collected": self.fees_collected,
             "accounts": {
-                a.id: {"balance": a.balance, "role": a.role.value}
-                for a in sorted(self.accounts.values(), key=lambda a: a.id)
+                account_id: {"balance": a.balance, "role": _ROLE_NAMES[a.role]}
+                for account_id, a in sorted(self.accounts.items())
             },
             "datasets": [
                 {

@@ -1,5 +1,6 @@
 """Committee growth, sortition, likelihood scoring, and the decision rule."""
 
+import contextlib
 import math
 from collections import Counter
 
@@ -290,3 +291,42 @@ class TestAgree:
         result = self.agree(lambda i, size: {b"A": size - size // 2, b"B": size // 2})
         assert result == (b"A", 7) and self.sizes[-1] == 50
         assert all(accepted is None for _, _, accepted in self.decisions[:-1])
+
+    # Scripted commit sources and their revealable digests (None: all are).
+    SOURCES = {
+        # F wins mini-round 1 without a preimage and is disqualified.
+        "forged-first": (lambda i, size: {b"F": size} if i == 1 else {b"H": size}, {b"H"}),
+        # A fresh forgery each mini-round, disqualified up to the cap.
+        "forgery-every-round": (lambda i, size: {bytes([i]): size}, set()),
+        # Nothing clears theta; the cap accepts the top score.
+        "even-split": (lambda i, size: {b"A": size - size // 2, b"B": size // 2}, None),
+        # Empty seats and a digest counted zero times; B is disqualified and
+        # A, with negative scores, is accepted at the cap.
+        "partial-committees": (
+            lambda i, size: {b"A": size // 3, b"B": size // 2, b"C": 0}, {b"A"}
+        ),
+    }
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_scores_are_likelihood_scores_of_the_commits(self, source):
+        counts, revealable = self.SOURCES[source]
+        committed = []
+
+        def record(i, size):
+            committed.append(counts(i, size))
+            return committed[-1]
+
+        with contextlib.suppress(NoConsensus):
+            self.agree(record, revealable)
+        assert self.sizes[-1] == 50 or source == "forged-first"
+        disqualified = set()
+        for i, scores, accepted in self.decisions:
+            every = likelihood_scores(committed[:i], self.sizes[:i])
+            assert scores == {k: v for k, v in every.items() if k not in disqualified}
+            if accepted is not None and revealable is not None and accepted not in revealable:
+                disqualified.add(accepted)
+        assert disqualified or revealable is None
+
+    def test_rejects_more_commits_than_seats(self):
+        with pytest.raises(ValueError, match="mini-round 2 has more commits than seats"):
+            self.agree(lambda i, size: {b"A": size // 2, b"B": size // 2 + i})

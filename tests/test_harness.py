@@ -135,6 +135,15 @@ class TestHonestRound:
         with pytest.raises(ValueError):
             run_core(quick_scenario(seed=12), market=market)
 
+    def test_node_table_of_another_size_rejected(self):
+        scenario = quick_scenario()
+        market = Market.standalone(scenario)
+        with pytest.raises(ValueError, match="20 nodes, not 19"):
+            Market.build(
+                scenario, market.label, market.seller_ids, market.node_ids[:-1], market.splits,
+                market.shards,
+            )
+
 
 class TestAllByzantineCommittee:
     def test_random_digests_end_without_consensus(self):
@@ -289,6 +298,21 @@ class TestStackedTraining:
 
 
 class TestPipeline:
+    def test_one_node_table_registered_run_and_paid(self, monkeypatch):
+        markets = []
+
+        def capture(scenario, *, market, **kwargs):
+            markets.append(market)
+            return run_core(scenario, market=market, **kwargs)
+
+        monkeypatch.setattr(harness, "run_core", capture)
+        result = run_auction_to_completion(quick_scenario(t_max=2))
+        node_ids = markets[0].node_ids
+        registered = [e["node_ids"] for e in result.ledger.tx_log if e["op"] == "register_nodes"]
+        assert registered == [list(node_ids)]
+        assert list(result.run.participation) == list(node_ids)
+        assert list(result.revenue.node_transfers) == list(node_ids)
+
     def test_competing_bids_and_split(self):
         scenario = quick_scenario(competing_bids=(100,))
         result = run_auction_to_completion(scenario)

@@ -55,12 +55,22 @@ class TestRegistration:
         with pytest.raises(DuplicateId):
             ledger.register_node("s1")
 
-    @pytest.mark.parametrize("batch", [["n1", "n2", "n1"], ["n1", "s1"]])
-    def test_bad_node_batch_registers_none(self, batch):
+    @pytest.mark.parametrize(
+        "batch, offending",
+        [
+            (["n1", "n2", "n1"], "n1"),
+            (["n1", "s1"], "s1"),
+            (["n1", "b1", "n2", "n2"], "b1"),
+            (["n1", "n2", "n1", "b1"], "n1"),
+        ],
+        ids=["batch0", "batch1", "batch2", "batch3"],
+    )
+    def test_bad_node_batch_registers_none(self, batch, offending):
         ledger = Ledger()
         ledger.register_user("s1", is_buyer=False)
+        ledger.register_user("b1", is_buyer=True)
         tx_log, snapshot = list(ledger.tx_log), ledger.snapshot()
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DuplicateId, match=f"account '{offending}' already registered"):
             ledger.register_nodes(batch)
         assert ledger.tx_log == tx_log and ledger.snapshot() == snapshot
 
@@ -274,6 +284,25 @@ class TestCloseAuction:
         ledger.payout_escrow(settlement, {"s1": 70, "b1": 30})
         assert ledger.accounts["s1"].balance == 70
         assert conserved(ledger)
+
+    @pytest.mark.parametrize(
+        "transfers, error, message",
+        [
+            ({"s1": 60, "n9": 20, "n8": 20}, KeyError, "unknown account 'n9'"),
+            ({"s1": 120, "b1": -20}, ValueError, "non-negative"),
+            ({"s1": 70, "b1": 31}, ValueError, "do not sum"),
+        ],
+    )
+    def test_refused_payout_changes_nothing(self, transfers, error, message):
+        ledger = funded_ledger(auction_window=1)
+        ledger.register_dataset("s1", {"x"}, 3)
+        ledger.start_auction(request(amount=100), "b1")
+        ledger.advance_block()
+        _, _, settlement = ledger.close_auction({"x"})
+        tx_log, snapshot = list(ledger.tx_log), ledger.snapshot()
+        with pytest.raises(error, match=message):
+            ledger.payout_escrow(settlement, transfers)
+        assert ledger.tx_log == tx_log and ledger.snapshot() == snapshot
 
 
 class TestCommitments:
