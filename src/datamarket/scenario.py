@@ -58,6 +58,8 @@ class DataConfig:
         if self.kind == "synthetic":
             if self.dims < self.classes:
                 raise ValueError("synthetic data needs data.dims >= data.classes")
+            if not self.noise >= 0:
+                raise ValueError("synthetic data needs data.noise >= 0")
             # the 80/10/10 split leaves the validation and test sets empty below 10 rows
             if self.rows < max(10, self.classes):
                 raise ValueError("synthetic data needs data.rows >= max(10, data.classes)")

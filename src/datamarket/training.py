@@ -97,13 +97,14 @@ class LabeledDataset:
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if len(self.features) != len(self.labels):
             raise DimensionMismatch("feature and label row counts differ")
-        if len(self.labels) and int(self.labels.max()) >= self.class_count:
+        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise ValueError("label outside class range")
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    def take(self, indices: np.ndarray) -> "LabeledDataset":
+    def take(self, indices: np.ndarray | slice) -> "LabeledDataset":
+        """The rows at ``indices``: a copy, or views of this dataset's arrays for a slice."""
         return LabeledDataset(self.features[indices], self.labels[indices], self.class_count)
 
     def head(self, rows: int) -> "LabeledDataset":
@@ -131,6 +132,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.dims < self.class_count:
             raise ValueError("need dims >= class_count for distinct cluster means")
+        if not self.noise >= 0:
+            raise ValueError("need noise >= 0")
 
 
 @dataclass(frozen=True)
@@ -450,7 +453,10 @@ def _read_idx_header(data: bytes, path: str, magic: int, dim_count: int) -> tupl
     found = struct.unpack(">i", data[:4])[0]
     if found != magic:
         raise BadMagic(f"{path}: magic {found:#010x}, expected {magic:#010x}")
-    return struct.unpack(f">{dim_count}i", data[4:header])
+    dims = struct.unpack(f">{dim_count}i", data[4:header])
+    if min(dims) < 0:
+        raise DimensionMismatch(f"{path}: negative size in header {dims}")
+    return dims
 
 
 def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
@@ -470,27 +476,35 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
         raise DimensionMismatch(f"{count} images but {label_count} labels")
     pixels = np.frombuffer(img_data, dtype=np.uint8, count=pixel_bytes, offset=16)
     labels = np.frombuffer(lbl_data, dtype=np.uint8, count=label_count, offset=8)
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0
     class_count = int(labels.max()) + 1 if count else 1
     return LabeledDataset(features, labels.astype(np.int64), class_count)
 
 
 def split_dataset(dataset: LabeledDataset) -> DatasetSplits:
-    """80/10/10 split in row order; the flooring remainder stays in train."""
+    """80/10/10 split in row order; the flooring remainder stays in train.
+
+    Each split is a row slice of the dataset's own arrays, so nothing is copied.
+    """
     rows = len(dataset)
     n_val = rows // 10
     n_test = rows // 10
     n_train = rows - n_val - n_test
-    idx = np.arange(rows)
     return DatasetSplits(
-        train=dataset.take(idx[:n_train]),
-        validation=dataset.take(idx[n_train : n_train + n_val]),
-        test=dataset.take(idx[n_train + n_val :]),
+        train=dataset.take(slice(0, n_train)),
+        validation=dataset.take(slice(n_train, n_train + n_val)),
+        test=dataset.take(slice(n_train + n_val, rows)),
     )
 
 
 def synth_dataset(spec: SynthSpec, rows: int, seed: bytes) -> DatasetSplits:
-    """Deterministic Gaussian-cluster dataset split 80/10/10."""
+    """Deterministic Gaussian-cluster dataset split 80/10/10.
+
+    Class k's mean is ``separation`` on axis k: each row draws its noise at
+    scale ``noise`` and adds ``separation`` to its label's column.  The rows
+    are then shuffled once, and the splits are slices of that one array.
+    """
     if rows < spec.class_count:
         raise ValueError("need at least one row per class")
     rng = rng_from(seed)
@@ -498,9 +512,8 @@ def synth_dataset(spec: SynthSpec, rows: int, seed: bytes) -> DatasetSplits:
     for k in range(rows % spec.class_count):
         counts[k] += 1
     labels = np.repeat(np.arange(spec.class_count), counts)
-    means = np.zeros((spec.class_count, spec.dims))
-    means[np.arange(spec.class_count), np.arange(spec.class_count)] = spec.separation
-    features = means[labels] + spec.noise * rng.normal(size=(rows, spec.dims))
+    features = rng.normal(0.0, spec.noise, size=(rows, spec.dims))
+    features[np.arange(rows), labels] += spec.separation
     order = rng.permutation(rows)
     full = LabeledDataset(features[order], labels[order], spec.class_count)
     return split_dataset(full)
@@ -515,15 +528,18 @@ def dirichlet_partition(
     """Split row indices across sellers with per-class Dirichlet shares.
 
     Low concentration produces heavily skewed per-seller label mixes;
-    large concentration approaches an even split.  Rows are assigned at
-    most once and shards are disjoint by construction.
+    large concentration approaches an even split.  Each class's rows are
+    shuffled and cut into consecutive runs, one per seller, by its own
+    draw of shares.  Every row is assigned exactly once, and each seller's
+    indices come back in ascending order, as views of one seller-major array.
     """
     if sellers < 1:
         raise ValueError("need at least one seller")
     if concentration <= 0:
         raise ValueError("concentration must be positive")
     rng = rng_from(seed)
-    shards: list[list[np.ndarray]] = [[] for _ in range(sellers)]
+    # the smallest integer type that holds a seller: up to 65536 sellers sort by radix
+    seller_of = np.empty(len(dataset), dtype=np.min_scalar_type(sellers - 1))
     for k in range(dataset.class_count):
         idx = np.nonzero(dataset.labels == k)[0]
         if len(idx) == 0:
@@ -531,15 +547,16 @@ def dirichlet_partition(
         idx = rng.permutation(idx)
         shares = rng.dirichlet(np.full(sellers, concentration))
         cuts = (np.cumsum(shares) * len(idx)).astype(int)[:-1]
-        for s, chunk in enumerate(np.split(idx, cuts)):
-            shards[s].append(chunk)
-    return [
-        np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
-        for chunks in shards
-    ]
+        # seller s gets positions cuts[s-1] <= j < cuts[s] of the shuffled class
+        seller_of[idx] = np.searchsorted(cuts, np.arange(len(idx)), side="right")
+    order = np.argsort(seller_of, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(seller_of, minlength=sellers))[:-1])
 
 
 def partition_shards(
     dataset: LabeledDataset, plan: list[np.ndarray]
 ) -> list[LabeledDataset]:
-    return [dataset.take(indices) for indices in plan]
+    """Each plan entry's rows, as row slices of one copy gathered in plan order."""
+    pooled = dataset.take(np.concatenate(plan))
+    ends = np.cumsum([len(indices) for indices in plan])
+    return [pooled.take(slice(end - len(indices), end)) for end, indices in zip(ends, plan)]

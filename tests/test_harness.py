@@ -517,6 +517,7 @@ class TestScenarioConfig:
             "data.kind = parquet",
             "data.partition_alpha = 0",
             "data.dims = 2",
+            "data.noise = -1",
             "data.rows = 9",
             "train.lr = -1",
         ],

@@ -1,6 +1,7 @@
 """Models, gradients, datasets, partitioning, hashing, and the IDX loader."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from datamarket.training import (
     local_update,
     local_updates,
     loss_and_grad,
+    partition_shards,
     predict_labels,
     predict_logits,
+    split_dataset,
     state_digest,
     synth_dataset,
     utility,
@@ -53,6 +56,24 @@ def small_dataset(seed=0, rows=60, dims=5, classes=3):
     labels = rng.integers(0, classes, size=rows)
     features = rng.normal(size=(rows, dims)) + 2.0 * np.eye(dims)[:classes][labels][:, :dims]
     return LabeledDataset(features, labels, classes)
+
+
+def traced_peak_ratio(build):
+    """Peak bytes traced while ``build()`` runs, over the bytes still held when it returns."""
+    tracemalloc.start()
+    try:
+        result = build()  # alive while the figures are read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / held
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0]])
+    def test_label_outside_class_range_rejected(self, labels):
+        with pytest.raises(ValueError, match="label outside class range"):
+            LabeledDataset(np.zeros((2, 1)), labels, 3)
 
 
 class TestGradients:
@@ -409,6 +430,39 @@ class TestIdxLoader:
         with pytest.raises(DimensionMismatch):
             load_idx(img, lbl)
 
+    @pytest.mark.parametrize("header", [(2, -2, 2), (2, -2, -2), (-2, 2, 2)])
+    def test_negative_image_size_rejected(self, tmp_path, header):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), np.zeros(2))
+        broken = tmp_path / "negative.idx"
+        broken.write_bytes(struct.pack(">iiii", 0x00000803, *header) + bytes(8))
+        with pytest.raises(DimensionMismatch, match="negative.idx"):
+            load_idx(str(broken), lbl)
+
+    def test_negative_label_count_rejected(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), np.zeros(2))
+        broken = tmp_path / "negative.idx"
+        broken.write_bytes(struct.pack(">ii", 0x00000801, -2) + bytes(2))
+        with pytest.raises(DimensionMismatch, match="negative.idx"):
+            load_idx(img, str(broken))
+
+    def test_splits_are_slices_of_the_loaded_array(self, tmp_path):
+        images = np.arange(30 * 3 * 2, dtype=np.uint8).reshape(30, 3, 2)
+        img, lbl = write_idx_pair(tmp_path, images, np.arange(30) % 3)
+        full = load_idx(img, lbl)
+        assert full.features.tobytes() == (images.reshape(30, 6) / 255.0).tobytes()
+        splits = split_dataset(full)
+        parts = (splits.train, splits.validation, splits.test)
+        for part in parts:
+            assert part.features.base is full.features and part.labels.base is full.labels
+        assert np.array_equal(np.concatenate([part.features for part in parts]), full.features)
+
+    def test_load_and_split_peak_memory(self, tmp_path):
+        # the file's bytes and the one float64 matrix; a second full-size copy would read about 2.0
+        rng = rng_from(derive_seed("idx-memory"))
+        images = rng.integers(0, 256, size=(3000, 16, 16))
+        img, lbl = write_idx_pair(tmp_path, images, rng.integers(0, 10, size=3000))
+        assert traced_peak_ratio(lambda: split_dataset(load_idx(img, lbl))) < 1.5
+
     def test_truncated_pixels(self, tmp_path):
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         labels = np.zeros(2, dtype=np.uint8)
@@ -419,7 +473,64 @@ class TestIdxLoader:
             load_idx(img, lbl)
 
 
+def reference_synth_dataset(spec, rows, seed):
+    """(features, labels) of each split, built with every full-size intermediate.
+
+    Each row's class mean is gathered into a full matrix and added to the
+    scaled draws, and the splits are copies taken by index.
+    """
+    rng = rng_from(seed)
+    counts = [rows // spec.class_count] * spec.class_count
+    for k in range(rows % spec.class_count):
+        counts[k] += 1
+    labels = np.repeat(np.arange(spec.class_count), counts)
+    means = np.zeros((spec.class_count, spec.dims))
+    means[np.arange(spec.class_count), np.arange(spec.class_count)] = spec.separation
+    features = means[labels] + spec.noise * rng.normal(size=(rows, spec.dims))
+    order = rng.permutation(rows)
+    features, labels = features[order], labels[order]
+    n_train = rows - 2 * (rows // 10)
+    parts = np.split(np.arange(rows), (n_train, n_train + rows // 10))
+    return [(features[idx], labels[idx]) for idx in parts]
+
+
 class TestSynthDataset:
+    @pytest.mark.parametrize(
+        "spec, rows",
+        [
+            (SynthSpec(), 500),
+            (SynthSpec(class_count=10, dims=32, separation=3.0), 4_003),
+            (SynthSpec(class_count=3, dims=3, separation=-2.0, noise=0.25), 97),
+            (SynthSpec(class_count=2, dims=5, separation=0.0, noise=0.0), 40),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_bit_identical_to_reference(self, spec, rows, seed):
+        splits = synth_dataset(spec, rows, derive_seed("synth", seed))
+        reference = reference_synth_dataset(spec, rows, derive_seed("synth", seed))
+        parts = (splits.train, splits.validation, splits.test)
+        for part, (features, labels) in zip(parts, reference):
+            assert part.features.tobytes() == features.tobytes()
+            assert part.labels.tobytes() == labels.tobytes()
+
+    def test_splits_are_slices_of_one_array(self):
+        splits = synth_dataset(SynthSpec(), 503, derive_seed("views"))
+        parts = (splits.train, splits.validation, splits.test)
+        base = splits.train.features.base
+        assert base is not None and base.shape == (503, 16)
+        assert all(part.features.base is base for part in parts)
+        assert all(np.shares_memory(part.features, base) for part in parts)
+        assert len({id(part.labels.base) for part in parts}) == 1
+
+    def test_peak_memory(self):
+        # one array of draws and its shuffled copy; a full-size product and sum read about 2.9
+        spec = SynthSpec(class_count=10, dims=32, separation=3.0)
+        assert traced_peak_ratio(lambda: synth_dataset(spec, 20_000, derive_seed("memory"))) < 2.5
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ValueError):
+            SynthSpec(noise=-1.0)
+
     def test_two_separated_clusters_learnable(self):
         splits = synth_dataset(
             SynthSpec(class_count=2, dims=4, separation=8.0, noise=1.0),
@@ -448,6 +559,25 @@ class TestSynthDataset:
         assert len(splits.validation) == 400
         assert len(splits.test) == 400
         assert len(splits.train) == 4_003 - 800
+
+
+def reference_dirichlet_partition(dataset, sellers, concentration, seed):
+    """The plan built chunk by chunk: each class cut by np.split, each seller's chunks sorted."""
+    rng = rng_from(seed)
+    shards = [[] for _ in range(sellers)]
+    for k in range(dataset.class_count):
+        idx = np.nonzero(dataset.labels == k)[0]
+        if len(idx) == 0:
+            continue
+        idx = rng.permutation(idx)
+        shares = rng.dirichlet(np.full(sellers, concentration))
+        cuts = (np.cumsum(shares) * len(idx)).astype(int)[:-1]
+        for s, chunk in enumerate(np.split(idx, cuts)):
+            shards[s].append(chunk)
+    return [
+        np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
+        for chunks in shards
+    ]
 
 
 class TestDirichletPartition:
@@ -492,3 +622,50 @@ class TestDirichletPartition:
             for indices in plan:
                 share = np.sum(data.labels[indices] == k) / class_rows
                 assert abs(share - 1 / 50) <= 0.1 * (1 / 50) + 2 / class_rows
+
+    @pytest.mark.parametrize(
+        "rows, classes, sellers, concentration",
+        [
+            (4000, 4, 13, 0.5),
+            (4000, 4, 1, 0.5),
+            (4000, 4, 50, 0.05),  # many empty shards
+            (200, 4, 120, 0.5),  # more sellers than rows of a class
+            (1000, 10, 300, 1000.0),
+            (999, 3, 257, 2.0),  # past 256 sellers, the seller index needs two bytes
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bit_identical_to_reference(self, rows, classes, sellers, concentration, seed):
+        data = self.build(rows=rows, classes=classes, seed=f"ref{seed}")
+        plan = dirichlet_partition(data, sellers, concentration, derive_seed("plan", seed))
+        reference = reference_dirichlet_partition(
+            data, sellers, concentration, derive_seed("plan", seed)
+        )
+        assert len(plan) == sellers
+        for indices, expected in zip(plan, reference):
+            assert indices.dtype == expected.dtype and indices.tobytes() == expected.tobytes()
+        if concentration == 0.05:
+            assert any(len(indices) == 0 for indices in plan)
+
+    def test_skipped_class_draws_nothing(self):
+        labels = np.repeat([0, 2], 50)  # class 1 is empty
+        data = LabeledDataset(np.zeros((100, 3)), labels, 3)
+        plan = dirichlet_partition(data, 7, 0.5, derive_seed("gap"))
+        reference = reference_dirichlet_partition(data, 7, 0.5, derive_seed("gap"))
+        assert [a.tobytes() for a in plan] == [b.tobytes() for b in reference]
+
+
+class TestPartitionShards:
+    def test_shards_are_slices_of_one_pooled_copy(self):
+        data = TestDirichletPartition().build(rows=1000, classes=4)
+        plan = dirichlet_partition(data, 30, 0.1, derive_seed("pool"))
+        shards = partition_shards(data, plan)
+        pooled = shards[0].features.base
+        assert pooled is not None and len(pooled) == len(data)
+        assert not np.shares_memory(pooled, data.features)
+        for shard, indices in zip(shards, plan):
+            expected = data.take(indices)
+            assert shard.features.base is pooled and shard.labels.base is shards[0].labels.base
+            assert np.shares_memory(shard.features, pooled) or len(shard) == 0
+            assert shard.features.tobytes() == expected.features.tobytes()
+            assert shard.labels.tobytes() == expected.labels.tobytes()
