@@ -8,7 +8,6 @@ a seed, so full runs with adversaries replay bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,14 +42,14 @@ class AdversaryConfig:
 
 
 def assign_roles(
-    nodes: Sequence, sellers: Sequence, config: AdversaryConfig, seed: bytes
-) -> tuple[frozenset, frozenset]:
-    """Mark floor(fraction * count) identities adversarial, drawn by seeded sortition."""
-    byz_nodes = sortition(derive_seed(seed, "nodes"), nodes, int(config.node_fraction * len(nodes)))
+    nodes: int, sellers: int, config: AdversaryConfig, seed: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node and seller masks, each marking floor(fraction * count) adversarial by sortition."""
+    byz_nodes = sortition(derive_seed(seed, "nodes"), nodes, int(config.node_fraction * nodes))
     byz_sellers = sortition(
-        derive_seed(seed, "sellers"), sellers, int(config.seller_fraction * len(sellers))
+        derive_seed(seed, "sellers"), sellers, int(config.seller_fraction * sellers)
     )
-    return frozenset(byz_nodes), frozenset(byz_sellers)
+    return np.isin(np.arange(nodes), byz_nodes), np.isin(np.arange(sellers), byz_sellers)
 
 
 def committee_forgery(

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DegenerateParams, NoConsensus, SizeExceedsPopulation
 from .rng import rng_from
 
@@ -80,12 +82,11 @@ def total_executions(r: int, s0: int) -> int:
     return r * (s0 - 1) + 2**r - 1
 
 
-def sortition(seed: bytes, nodes: Sequence[str], size: int) -> tuple[str, ...]:
-    """Draw a uniform without-replacement committee, deterministic in seed."""
-    if size > len(nodes):
-        raise SizeExceedsPopulation(f"size {size} > population {len(nodes)}")
-    order = rng_from(seed).permutation(len(nodes))[:size]
-    return tuple([nodes[j] for j in order.tolist()])
+def sortition(seed: bytes, population: int, size: int) -> np.ndarray:
+    """Draw a uniform without-replacement committee of population indices, deterministic in seed."""
+    if size > population:
+        raise SizeExceedsPopulation(f"size {size} > population {population}")
+    return rng_from(seed).permutation(population)[:size]
 
 
 def likelihood_scores(

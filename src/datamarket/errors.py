@@ -15,6 +15,10 @@ class UnknownSeller(MarketError):
     pass
 
 
+class UnknownNode(MarketError):
+    pass
+
+
 class NotBuyer(MarketError):
     pass
 

@@ -67,11 +67,11 @@ class RunResult:
 @dataclass
 class PipelineResult:
     ledger: Ledger
-    run: RunResult | None
-    revenue: RevenueReport | None
-    payoff: PayoffReport | None
-    winner: str | None
-    refunded: bool
+    run: RunResult | None = None
+    revenue: RevenueReport | None = None
+    payoff: PayoffReport | None = None
+    winner: str | None = None
+    refunded: bool = True  # the escrow went back to the winning bidder
 
     def summary(self) -> dict:
         """The outcome ``datamarket run`` writes to ``summary.json``."""
@@ -118,8 +118,9 @@ class Market:
 
     Seller ``i`` of a round is ``seller_ids[i]``, holding ``shards[i]``: the
     sellers the auction matched, in id order, or every seller of the
-    scenario in a standalone run.  ``node_ids`` is the run's one node
-    table, the ids the ledger registered.  The market is also the rounds'
+    scenario in a standalone run.  ``node_ids`` is the run's one node table,
+    the ids the ledger registered; committees index it, and ``byz_nodes`` and
+    ``byz_sellers`` mask it and the sellers.  The market is also the rounds'
     :class:`fedcore.SellerOracle`.
     """
 
@@ -130,8 +131,8 @@ class Market:
     shards: tuple[LabeledDataset, ...]
     splits: DatasetSplits
     node_ids: tuple[str, ...]
-    byz_nodes: frozenset[str]
-    byz_sellers: frozenset[int]
+    byz_nodes: np.ndarray
+    byz_sellers: np.ndarray
     spec: ModelSpec
     utility_set: LabeledDataset
 
@@ -145,7 +146,7 @@ class Market:
             raise ValueError(f"the scenario has {scenario.nodes} nodes, not {len(node_ids)}")
         root = scenario.root_seed
         byz_nodes, byz_sellers = adv.assign_roles(
-            node_ids, range(len(seller_ids)), scenario.adversary, derive_seed(root, "adversary")
+            len(node_ids), len(seller_ids), scenario.adversary, derive_seed(root, "adversary")
         )
         train, validation = splits.train, splits.validation
         rows = scenario.data.utility_eval_rows
@@ -185,7 +186,7 @@ class Market:
         adversary, train = self.scenario.adversary, self.scenario.train
         deltas = np.zeros((len(sellers), len(values)))
         shards = {j: self.shards[i] for j, i in enumerate(sellers) if len(self.shards[i])}
-        byz = [j for j in shards if sellers[j] in self.byz_sellers]
+        byz = [j for j in shards if self.byz_sellers[sellers[j]]]
         for j in byz:
             shards[j] = adv.malicious_seller_shard(adversary, shards[j])
         deltas[list(shards)] = local_updates(
@@ -246,7 +247,7 @@ def run_core(
         ledger.register_nodes(market.node_ids)
 
     tau = scenario.request.threshold
-    participation: dict[str, int] = dict.fromkeys(market.node_ids, 0)
+    participation = np.zeros(len(market.node_ids), dtype=np.int64)  # seats per node
     records: list[dict] = []
     prev: Adopted | None = None
     wrong_adoptions = 0
@@ -294,7 +295,7 @@ def run_core(
         weights=weights,
         probabilities=p,
         access_counts=access_counts,
-        participation=participation,
+        participation=dict(zip(market.node_ids, participation.tolist())),
         records=records,
         seller_ids=list(market.seller_ids),
         final_validation_accuracy=val_acc,
@@ -306,39 +307,40 @@ def run_core(
 
 
 def _single_executor_round(
-    market: Market, t: int, participation: dict[str, int], honest: Adopted, prev: Adopted | None
+    market: Market, t: int, participation: np.ndarray, honest: Adopted, prev: Adopted | None
 ) -> tuple[Adopted, int]:
     seed = derive_seed(market.root, "sortition", market.label, t, 1)
-    executor = sortition(seed, market.node_ids, 1)[0]
+    executor = sortition(seed, len(market.node_ids), 1)[0]
     participation[executor] += 1
-    if executor not in market.byz_nodes:
+    if not market.byz_nodes[executor]:
         return honest, 1
     return adv.lone_forgery(market.scenario.adversary, honest[0], prev, market.forgery_seed(t)), 1
 
 
 def _consensus_round(
-    market: Market, t: int, ledger: Ledger, participation: dict[str, int], honest: Adopted,
+    market: Market, t: int, ledger: Ledger, participation: np.ndarray, honest: Adopted,
     prev: Adopted | None, sink: MetricsSink,
 ) -> tuple[Adopted, int]:
     """One global round's agreement: the committees commit on the ledger."""
-    root, label = market.root, market.label
+    root, label, node_ids = market.root, market.label, market.node_ids
     honest_state, honest_digest = honest
     reveals: dict[bytes, State] = {honest_digest: honest_state}
     adversary = market.scenario.adversary
     forged = None
-    if market.byz_nodes:
+    if market.byz_nodes.any():
         forged = adv.committee_forgery(adversary, honest_state, prev, market.forgery_seed(t))
     if forged is not None:
         reveals[forged[1]] = forged[0]
 
     def commit(i: int, size: int) -> Counter:
         es_seed = derive_seed(root, "sortition", label, ledger.beacon(), t, i)
-        members = sortition(es_seed, market.node_ids, size)
+        seats = sortition(es_seed, len(node_ids), size)
+        members = [node_ids[j] for j in seats.tolist()]
         ledger.publish_execution_set(t, i, members)
+        participation[seats] += 1
         commits: list[tuple[str, bytes]] = []
-        for node in members:
-            participation[node] += 1
-            if node not in market.byz_nodes:
+        for node, byzantine in zip(members, market.byz_nodes[seats].tolist()):
+            if not byzantine:
                 digest = honest_digest
             elif forged is not None:
                 digest = forged[1]
@@ -400,9 +402,7 @@ def run_auction_to_completion(
     won_request, matched, settlement = ledger.close_auction(request.tags)
 
     if not matched:
-        return PipelineResult(
-            ledger=ledger, run=None, revenue=None, payoff=None, winner=None, refunded=True
-        )
+        return PipelineResult(ledger)
 
     winner = ledger.settlements[settlement].highest_bidder
     matched_ids = sorted(matched)
@@ -420,9 +420,7 @@ def run_auction_to_completion(
     contribs = {sid: int(run.access_counts[k]) for k, sid in enumerate(matched_ids)}
     if sum(contribs.values()) == 0 or sum(run.participation.values()) == 0:
         ledger.refund_settlement(settlement)
-        return PipelineResult(
-            ledger=ledger, run=run, revenue=None, payoff=None, winner=winner, refunded=True
-        )
+        return PipelineResult(ledger, run, winner=winner)
 
     revenue = distribute_revenue(won_request.amount, contribs, run.participation)
     ledger.payout_escrow(settlement, revenue.transfers)
@@ -438,9 +436,7 @@ def run_auction_to_completion(
         node_share=revenue.node_share,
         seller_share=revenue.seller_share,
     )
-    return PipelineResult(
-        ledger=ledger, run=run, revenue=revenue, payoff=payoff, winner=winner, refunded=False
-    )
+    return PipelineResult(ledger, run, revenue, payoff, winner, refunded=False)
 
 
 def byzantine_grid(
@@ -513,9 +509,7 @@ def consensus_trials(
     sortition: honest members commit a common honest digest, Byzantine
     members a common wrong digest.
     """
-    node_ids = _ids("n", params.total_nodes)
-    byz_count = int(byz_fraction * params.total_nodes)
-    byz = frozenset(node_ids[:byz_count])  # identities are exchangeable
+    byz_count = int(byz_fraction * params.total_nodes)  # the lowest indices; roles are exchangeable
     root = derive_seed("consensus-trials", seed)
     theta = threshold(params)
     outcomes = []
@@ -524,8 +518,8 @@ def consensus_trials(
         honest, wrong = derive_seed(trial, "honest"), derive_seed(trial, "wrong")
 
         def commit(i: int, size: int) -> Counter:
-            members = sortition(derive_seed(trial, "es", i), node_ids, size)
-            n_wrong = sum(1 for m in members if m in byz)
+            seats = sortition(derive_seed(trial, "es", i), params.total_nodes, size)
+            n_wrong = int((seats < byz_count).sum())
             return Counter({honest: size - n_wrong, wrong: n_wrong})
 
         accepted, mini_rounds = agree(params, theta, commit)

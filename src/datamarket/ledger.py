@@ -10,7 +10,7 @@ plus collected fees.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +25,7 @@ from .errors import (
     NoSuchAuction,
     NotBuyer,
     NotInExecutionSet,
+    UnknownNode,
     UnknownSeller,
 )
 from .rng import derive_seed
@@ -110,13 +111,24 @@ class DatasetRecord:
 
 @dataclass
 class _ExecutionSlot:
-    members: tuple[str, ...]
-    member_set: frozenset[str]
+    members: dict[str, bytes | None]  # member -> its committed digest or None, in member order
     deadline: int
-    commits: dict[str, bytes] = field(default_factory=dict)  # node -> digest, in commit order
 
 
 _compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# The entry fields each op of the log passes to its method, in order.
+_REPLAY_ARGS = {
+    "register_user": ("user_id", "is_buyer"),
+    "register_nodes": ("node_ids",),
+    "mint": ("account_id", "amount"),
+    "register_dataset": ("seller", "tags", "size"),
+    "close_auction": ("tags",),
+    "payout_escrow": ("settlement_id", "transfers"),
+    "refund_settlement": ("settlement_id",),
+    "publish_execution_set": ("round", "mini_round", "members"),
+    "advance_block": (),
+}
 
 
 class Ledger:
@@ -335,16 +347,25 @@ class Ledger:
     def publish_execution_set(
         self, round: int, mini_round: int, members: Iterable[str]
     ) -> None:
+        """Open one mini-round's slot, whose members commit before its deadline.
+
+        The first member that is no registered node, or repeats an earlier
+        one, refuses the set with UnknownNode or DuplicateId.
+        """
         key = (round, mini_round)
         if key in self.execution_slots:
             raise ValueError(f"execution set for {key} already published")
-        members = tuple(members)
-        self.execution_slots[key] = _ExecutionSlot(
-            members=members,
-            member_set=frozenset(members),
-            deadline=self.height + self.commit_timeout,
-        )
-        self._log("publish_execution_set", round=round, mini_round=mini_round, members=list(members))
+        accounts, role = self.accounts, Role.NODE
+        slot: dict[str, bytes | None] = {}
+        for node in members:
+            acct = accounts.get(node)
+            if acct is None or acct.role is not role:
+                raise UnknownNode(f"{node!r} is not a registered node")
+            if node in slot:
+                raise DuplicateId(f"{node!r} is repeated in execution set {key}")
+            slot[node] = None
+        self.execution_slots[key] = _ExecutionSlot(slot, self.height + self.commit_timeout)
+        self._log("publish_execution_set", round=round, mini_round=mini_round, members=list(slot))
 
     def commit_digest(self, node: str, round: int, mini_round: int, digest: bytes) -> None:
         """Record one node's commit; see commit_digests."""
@@ -368,14 +389,14 @@ class Ledger:
             raise CommitTimeout(f"execution set ({round}, {mini_round}) timed out at {slot.deadline}")
         batch: set[str] = set()
         for node, _ in commits:
-            if node not in slot.member_set:
+            if node not in slot.members:
                 raise NotInExecutionSet(f"{node!r} not in execution set ({round}, {mini_round})")
-            if node in slot.commits or node in batch:
+            if slot.members[node] is not None or node in batch:
                 raise DoubleCommit(f"{node!r} already committed for ({round}, {mini_round})")
             batch.add(node)
         index: dict[bytes, int] = {}
         for node, digest in commits:
-            slot.commits[node] = digest
+            slot.members[node] = digest
             index.setdefault(digest, len(index))
         self._log(
             "commit_digests", round=round, mini_round=mini_round,
@@ -386,10 +407,8 @@ class Ledger:
     def commits_for(self, round: int, mini_round: int) -> list[CommitRecord]:
         """The slot's commits in member order."""
         slot = self.execution_slots.get((round, mini_round))
-        if slot is None:
-            return []
-        done = slot.commits
-        return [CommitRecord(mini_round, done[node], node) for node in slot.members if node in done]
+        members = slot.members if slot is not None else {}
+        return [CommitRecord(mini_round, d, node) for node, d in members.items() if d is not None]
 
     # -- block production -----------------------------------------------
 
@@ -471,32 +490,14 @@ class Ledger:
             raise ValueError("genesis record has fields other than its parameters")
         for entry in lines[1:]:
             op = entry["op"]
-            if op == "register_user":
-                ledger.register_user(entry["user_id"], entry["is_buyer"])
-            elif op == "register_nodes":
-                ledger.register_nodes(entry["node_ids"])
-            elif op == "mint":
-                ledger.mint(entry["account_id"], entry["amount"])
-            elif op == "register_dataset":
-                ledger.register_dataset(entry["seller"], entry["tags"], entry["size"])
-            elif op == "start_auction":
-                ledger.start_auction(DataRequest.from_dict(entry["request"]), entry["caller"])
-            elif op == "place_bid":
-                ledger.place_bid(DataRequest.from_dict(entry["request"]), entry["caller"])
-            elif op == "close_auction":
-                ledger.close_auction(entry["tags"])
-            elif op == "payout_escrow":
-                ledger.payout_escrow(entry["settlement_id"], entry["transfers"])
-            elif op == "refund_settlement":
-                ledger.refund_settlement(entry["settlement_id"])
-            elif op == "publish_execution_set":
-                ledger.publish_execution_set(entry["round"], entry["mini_round"], entry["members"])
+            if op in _REPLAY_ARGS:
+                getattr(ledger, op)(*[entry[name] for name in _REPLAY_ARGS[op]])
+            elif op in ("start_auction", "place_bid"):
+                getattr(ledger, op)(DataRequest.from_dict(entry["request"]), entry["caller"])
             elif op == "commit_digests":
                 digests = [bytes.fromhex(digest) for digest in entry["digests"]]
                 commits = [(node, digests[k]) for node, k in entry["commits"]]
                 ledger.commit_digests(entry["round"], entry["mini_round"], commits)
-            elif op == "advance_block":
-                ledger.advance_block()
             else:
                 raise ValueError(f"unknown op {op!r} in transaction log")
             logged = ledger.tx_log[-1]

@@ -15,6 +15,7 @@ from datamarket.adversary import (
     malicious_seller_update,
     poisoned_state,
 )
+from datamarket.consensus import sortition
 from datamarket.errors import EmptyShard
 from datamarket.harness import Market
 from datamarket.rng import derive_seed, rng_from
@@ -27,8 +28,7 @@ from datamarket.training import (
     state_digest,
 )
 
-NODES = [f"n{i}" for i in range(50)]
-SELLERS = list(range(40))
+NODES, SELLERS = 50, 40
 
 
 SEED = derive_seed("adv")
@@ -52,26 +52,31 @@ def shard(rows=40, dims=4, classes=2, seed="shard"):
 class TestAssignRoles:
     def test_zero_fraction_empty(self):
         nodes, sellers = assign_roles(NODES, SELLERS, AdversaryConfig(), SEED)
-        assert nodes == frozenset() and sellers == frozenset()
+        assert nodes.dtype == sellers.dtype == bool
+        assert nodes.shape == (NODES,) and sellers.shape == (SELLERS,)
+        assert not nodes.any() and not sellers.any()
 
     def test_floor_of_fraction(self):
         nodes, sellers = assign_roles(
             NODES, SELLERS, AdversaryConfig(node_fraction=0.3, seller_fraction=0.33), SEED
         )
-        assert len(nodes) == 15  # 30% of 50
-        assert len(sellers) == 13  # floor(0.33 * 40)
+        assert nodes.sum() == 15  # 30% of 50
+        assert sellers.sum() == 13  # floor(0.33 * 40)
+        # the marked indices are the seeded sortition draw
+        drawn = sortition(derive_seed(SEED, "sellers"), SELLERS, 13)
+        assert np.flatnonzero(sellers).tolist() == sorted(drawn.tolist())
 
     def test_deterministic_in_seed(self):
         config = AdversaryConfig(node_fraction=0.2, seller_fraction=0.5)
-        assert assign_roles(NODES, SELLERS, config, SEED) == assign_roles(
-            NODES, SELLERS, config, SEED
-        )
+        first = assign_roles(NODES, SELLERS, config, SEED)
+        second = assign_roles(NODES, SELLERS, config, SEED)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_members_come_from_population(self):
         nodes, sellers = assign_roles(
             NODES, SELLERS, AdversaryConfig(node_fraction=1.0, seller_fraction=1.0), SEED
         )
-        assert nodes == frozenset(NODES) and sellers == frozenset(SELLERS)
+        assert nodes.all() and sellers.all()
 
 
 def adopted(state):

@@ -80,36 +80,36 @@ class TestCommitteeGrowth:
 
 
 class TestSortition:
-    NODES = tuple(f"n{i}" for i in range(8))
+    POPULATION = 8
 
     def test_full_population(self):
-        members = sortition(derive_seed("full"), self.NODES, len(self.NODES))
-        assert sorted(members) == sorted(self.NODES)
+        members = sortition(derive_seed("full"), self.POPULATION, self.POPULATION)
+        assert sorted(members.tolist()) == list(range(self.POPULATION))
 
     def test_deterministic_in_seed(self):
         seed = derive_seed("twice")
-        first = sortition(seed, self.NODES, 3)
-        second = sortition(seed, self.NODES, 3)
-        assert first == second
+        first = sortition(seed, self.POPULATION, 3)
+        second = sortition(seed, self.POPULATION, 3)
+        assert np.array_equal(first, second)
 
     def test_size_exceeds_population(self):
         with pytest.raises(SizeExceedsPopulation):
-            sortition(derive_seed("big"), self.NODES, 9)
+            sortition(derive_seed("big"), self.POPULATION, 9)
 
     def test_members_distinct(self):
         for k in range(50):
-            members = sortition(derive_seed("distinct", k), self.NODES, 5)
-            assert len(set(members)) == 5
+            members = sortition(derive_seed("distinct", k), self.POPULATION, 5)
+            assert len(set(members.tolist())) == 5
 
     def test_selection_frequency_uniform(self):
         # Monte Carlo bound: per-node frequency within 3 sigma of size/n
         trials, size = 100_000, 3
         counts = Counter()
         for k in range(trials):
-            counts.update(sortition(derive_seed("freq", k), self.NODES, size))
-        expectation = trials * size / len(self.NODES)
-        sigma = math.sqrt(trials * (size / len(self.NODES)) * (1 - size / len(self.NODES)))
-        for node in self.NODES:
+            counts.update(sortition(derive_seed("freq", k), self.POPULATION, size).tolist())
+        expectation = trials * size / self.POPULATION
+        sigma = math.sqrt(trials * (size / self.POPULATION) * (1 - size / self.POPULATION))
+        for node in range(self.POPULATION):
             assert abs(counts[node] - expectation) < 3 * sigma
 
 

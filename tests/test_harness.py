@@ -4,6 +4,7 @@ import csv
 import json
 import pickle
 import shutil
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from conftest import quick_scenario, robustness_scenario
 from datamarket import adversary, harness
 from datamarket.cli import main as cli_main
-from datamarket.consensus import execution_set_size, threshold
+from datamarket.consensus import execution_set_size, sortition, threshold
 from datamarket.economics import analyze_payoffs
 from datamarket.errors import DegenerateParams, NoConsensus
 from datamarket.harness import (
@@ -116,7 +117,7 @@ class TestHonestRound:
         assert len(accepted) == scenario.t_max
 
         market = Market.standalone(scenario)
-        assert market.byz_sellers and not market.byz_nodes
+        assert market.byz_sellers.any() and not market.byz_nodes.any()
         state = market.initial_state()
         inputs = []
         for t in range(scenario.t_max):
@@ -166,6 +167,64 @@ class TestAllByzantineCommittee:
         last = events[-1]
         assert last["accepted"] in last["scores"]
         assert last["scores"][last["accepted"]] == max(last["scores"].values())
+
+
+def seated_run(strategy: str, ablation: str = "none"):
+    """A standalone run at 30% Byzantine nodes on a ledger the test holds."""
+    base = robustness_scenario(2, 0.3, 0.0, t_max=8)
+    adversary = replace(base.adversary, node_strategy=strategy)
+    scenario = replace(base, ablation=ablation, adversary=adversary)
+    market = Market.standalone(scenario)
+    ledger = scenario.ledger()
+    ledger.register_nodes(market.node_ids)
+    return market, ledger, run_core(scenario, market=market, ledger=ledger)
+
+
+class TestSeatsFollowRoles:
+    """What each seat commits, and how often each node sits, follow from the Byzantine mask."""
+
+    @pytest.mark.parametrize("strategy", adversary.NODE_STRATEGIES)
+    def test_committee_seats(self, strategy):
+        market, ledger, result = seated_run(strategy)
+        config, root, label = market.scenario.adversary, market.root, market.label
+        byzantine = {n for n, b in zip(market.node_ids, market.byz_nodes.tolist()) if b}
+        forged_seats = 0
+        for rec in result.records:
+            t = rec["round"]
+            honest, forged = set(), set()
+            for i in range(1, rec["mini_rounds"] + 1):
+                commits = ledger.commits_for(t, i)
+                assert len(commits) == len(ledger.execution_slots[t, i].members)
+                for c in commits:
+                    if c.node not in byzantine:
+                        honest.add(c.digest)
+                        continue
+                    forged.add(c.digest)
+                    forged_seats += 1
+                    if strategy == "random-digest":
+                        seed = derive_seed(root, "byz-digest", label, t, i, c.node)
+                        assert c.digest == adversary.byzantine_node_digest(config, seed)
+            assert len(honest) == 1  # every honest seat of the round commits one digest
+            assert not honest & forged
+            if rec["honest_adopted"]:
+                assert honest.pop().hex() == rec["accepted_digest"]
+        assert forged_seats and any(rec["honest_adopted"] for rec in result.records)
+        published = [e["members"] for e in ledger.tx_log if e["op"] == "publish_execution_set"]
+        seats = Counter(node for members in published for node in members)
+        assert result.participation == {node: seats[node] for node in market.node_ids}
+
+    @pytest.mark.parametrize("strategy", adversary.NODE_STRATEGIES)
+    def test_single_executor_seats(self, strategy):
+        market, ledger, result = seated_run(strategy, "no-consensus")
+        seeds = [derive_seed(market.root, "sortition", market.label, t, 1) for t in range(8)]
+        executors = [int(sortition(seed, len(market.node_ids), 1)[0]) for seed in seeds]
+        honest = [not market.byz_nodes[k] for k in executors]
+        assert len(result.records) == len(executors)
+        assert [rec["honest_adopted"] for rec in result.records] == honest
+        assert any(honest) and not all(honest)
+        seats = Counter(market.node_ids[k] for k in executors)
+        assert result.participation == {node: seats[node] for node in market.node_ids}
+        assert not any(e["op"] == "publish_execution_set" for e in ledger.tx_log)
 
 
 class TestByzantineLoneExecutor:
@@ -240,7 +299,7 @@ class OneAtATime(Market):
         deltas = []
         for seller, seed in zip(sellers, seeds):
             shard = self.shards[seller]
-            byzantine = seller in self.byz_sellers
+            byzantine = bool(self.byz_sellers[seller])
             if not len(shard):  # a zero delta, never transformed: -10 * 0 would be -0.0
                 OneAtATime.empty_byzantine_sampled += byzantine
                 deltas.append(np.zeros_like(values))
@@ -290,7 +349,8 @@ class TestStackedTraining:
             adversary=AdversaryConfig(seller_fraction=0.5, seller_strategy=strategy),
         )
         market = Market.standalone(scenario)
-        empty = [i for i in sorted(market.byz_sellers) if not len(market.shards[i])]
+        byzantine = np.flatnonzero(market.byz_sellers).tolist()
+        empty = [i for i in byzantine if not len(market.shards[i])]
         values = market.initial_state()[0].values
         deltas = market.local_deltas(empty, values, [derive_seed("empty", i) for i in empty])
         assert empty and deltas.shape == (len(empty), len(values))

@@ -14,6 +14,7 @@ from datamarket.errors import (
     NoSuchAuction,
     NotBuyer,
     NotInExecutionSet,
+    UnknownNode,
     UnknownSeller,
 )
 from datamarket.ledger import DataRequest, Ledger, Role
@@ -392,6 +393,57 @@ class TestCommitments:
             ledger.commit_digest("n0", 0, 1, derive_seed("other"))
 
 
+class TestExecutionSets:
+    def fresh(self):
+        ledger = Ledger(seed=1, commit_timeout=10)
+        ledger.register_user("b0", is_buyer=True)
+        ledger.register_user("s0", is_buyer=False)
+        ledger.register_nodes([f"n{i}" for i in range(4)])
+        return ledger
+
+    @pytest.mark.parametrize(
+        "members, error, named",
+        [
+            (["n0", "n1", "n0"], DuplicateId, "n0"),
+            (["n2", "n1", "n1", "n2"], DuplicateId, "n1"),
+            (["n0", "n0", "x"], DuplicateId, "n0"),  # a repeat before an unknown id
+            (["n0", "x"], UnknownNode, "x"),
+            (["n0", "b0"], UnknownNode, "b0"),  # a buyer is no node
+            (["s0"], UnknownNode, "s0"),
+            (["x", "x", "b0"], UnknownNode, "x"),  # an unknown id before its repeat
+        ],
+    )
+    def test_bad_member_refused_without_trace(self, members, error, named):
+        ledger = self.fresh()
+        tx_log, snapshot = list(ledger.tx_log), ledger.snapshot()
+        with pytest.raises(error, match=f"'{named}'"):
+            ledger.publish_execution_set(0, 1, members)
+        assert ledger.tx_log == tx_log and ledger.snapshot() == snapshot
+        assert ledger.execution_slots == {} and ledger.commits_for(0, 1) == []
+        ledger.publish_execution_set(0, 1, ["n3", "n0"])  # the slot is still free
+        assert len(ledger.execution_slots[(0, 1)].members) == 2
+
+    @pytest.mark.parametrize(
+        "members, error", [(["n0", "n0"], DuplicateId), (["n0", "b0"], UnknownNode)]
+    )
+    def test_replay_refuses_bad_member_entry(self, members, error):
+        ledger = self.fresh()
+        ledger.publish_execution_set(0, 1, ["n0", "n1"])
+        lines = ledger.tx_log_ndjson().splitlines()
+        entry = json.loads(lines[-1])
+        assert entry["op"] == "publish_execution_set"
+        forged = json.dumps({**entry, "members": members})
+        with pytest.raises(error):
+            Ledger.replay("\n".join([*lines[:-1], forged]))
+
+    def test_slot_keeps_member_order(self):
+        ledger = self.fresh()
+        ledger.publish_execution_set(0, 1, ["n2", "n0", "n1"])
+        ledger.commit_digests(0, 1, [("n0", derive_seed("d")), ("n2", derive_seed("d"))])
+        assert [c.node for c in ledger.commits_for(0, 1)] == ["n2", "n0"]
+        assert list(ledger.execution_slots[(0, 1)].members) == ["n2", "n0", "n1"]
+
+
 class TestBatchCommits:
     D = derive_seed("d")
 
@@ -416,7 +468,7 @@ class TestBatchCommits:
         tx_log, snapshot = list(ledger.tx_log), ledger.snapshot()
         with pytest.raises(error):
             ledger.commit_digests(0, 1, batch)
-        assert list(ledger.execution_slots[(0, 1)].commits) == ["n0"]
+        assert [c.node for c in ledger.commits_for(0, 1)] == ["n0"]
         assert ledger.tx_log == tx_log and ledger.snapshot() == snapshot
 
     def test_unpublished_slot_rejected(self):

@@ -16,6 +16,7 @@ from datamarket.errors import (
     MarketError,
     NotBuyer,
     NotInExecutionSet,
+    UnknownNode,
     UnknownSeller,
 )
 from datamarket.ledger import DataRequest, Ledger, Role
@@ -60,6 +61,7 @@ class LedgerMachine(RuleBasedStateMachine):
             self.call("register_user", user, user.startswith("b"))
         for buyer in ("b0", "b1"):
             self.call("mint", buyer, 1000)
+        self.call("register_nodes", list(NODES[:3]))  # the rest stay for register_nodes
         self.call("register_dataset", "s0", {"x"}, 10)
         # settle one auction first, so the payout and refund rules have one to act on
         self.call("start_auction", DataRequest(tags={"x"}, amount=100), "b0")
@@ -157,15 +159,27 @@ class LedgerMachine(RuleBasedStateMachine):
 
     # -- digest commitments ---------------------------------------------
 
-    @rule(
-        round=st.integers(0, 1),
-        mini_round=st.integers(1, 2),
-        members=st.lists(st.sampled_from(NODES), min_size=1, max_size=4, unique=True),
-    )
-    def publish_execution_set(self, round, mini_round, members):
+    @rule(data=st.data(), round=st.integers(0, 1), mini_round=st.integers(1, 2))
+    def publish_execution_set(self, data, round, mini_round):
         key = (round, mini_round)
-        if self.call("publish_execution_set", round, mini_round, members,
-                     error=ValueError if key in self.slots else None):
+        accounts = self.ledger.accounts
+        registered = [node for node in NODES if node in accounts]
+        nodes = st.lists(st.sampled_from(registered), min_size=1, max_size=3, unique=True)
+        members = data.draw(nodes)
+        if data.draw(st.booleans()):  # one more member: a repeat, a user or an unregistered node
+            position = data.draw(st.integers(0, len(members)))
+            members.insert(position, data.draw(st.sampled_from(NODES + USERS[:1])))
+        error = None
+        for k, node in enumerate(members):  # the first offending member names the error
+            if node not in accounts or accounts[node].role is not Role.NODE:
+                error = UnknownNode
+            elif node in members[:k]:
+                error = DuplicateId
+            if error is not None:
+                break
+        if key in self.slots:
+            error = ValueError
+        if self.call("publish_execution_set", round, mini_round, members, error=error):
             self.slots[key] = (tuple(members), self.height + TIMEOUT)
             self.committed[key] = {}
 
