@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -37,6 +37,7 @@ from .training import (
     ModelSpec,
     ModelWeights,
     State,
+    as_stack,
     dirichlet_partition,
     evaluate_metric,
     init_weights,
@@ -122,6 +123,14 @@ class Market:
     the ids the ledger registered; committees index it, and ``byz_nodes`` and
     ``byz_sellers`` mask it and the sellers.  The market is also the rounds'
     :class:`fedcore.SellerOracle`.
+
+    Besides these constants, the market remembers the last stack it scored
+    and each row's loss and accuracy on the utility set, and finds a row in
+    it by its bits.  A round's base row is normally the previous round's
+    adopted candidate, so it is not scored again; when the utility set is the
+    validation split, the adopted candidate's validation accuracy comes
+    from the same pass.  A remembered score is the score the row would get
+    afresh, since a row's scores do not depend on the rest of its stack.
     """
 
     scenario: Scenario
@@ -135,6 +144,8 @@ class Market:
     byz_sellers: np.ndarray
     spec: ModelSpec
     utility_set: LabeledDataset
+    # the last stack scored, as its rows' bits, with each row's loss and accuracy
+    _last: list = field(default_factory=list, init=False, repr=False)
 
     @classmethod
     def build(
@@ -198,7 +209,43 @@ class Market:
         return deltas
 
     def utility(self, stack: np.ndarray) -> np.ndarray:
-        return utility(self.spec, stack, self.utility_set)
+        """Each row's loss on the utility set; a row 0 in the last stack scored is not rescored.
+
+        The other rows are scored in one pass, and this stack and its scores
+        then replace the remembered ones.
+        """
+        stack = as_stack(self.spec, stack)
+        base = self._remembered(stack[0])
+        fresh = 0 if base is None else 1
+        losses, accuracies = np.empty(len(stack)), np.empty(len(stack))
+        if base is not None:
+            losses[0], accuracies[0] = self._last[1][base], self._last[2][base]
+        if fresh < len(stack):
+            losses[fresh:], accuracies[fresh:] = utility(self.spec, stack[fresh:], self.utility_set)
+        self._last[:] = stack.view(np.int64).copy(), losses, accuracies
+        return losses.copy()
+
+    def validation_accuracy(self, weights: ModelWeights) -> float:
+        """Accuracy of the weights on the validation split.
+
+        When the utility set is the validation split, it is read from the
+        last stack scored; weights not in it are scored as a stack of their
+        own, which the next round's base row then finds.
+        """
+        if self.utility_set is not self.splits.validation:
+            return evaluate_metric(weights, self.splits.validation)
+        row = self._remembered(weights.values)
+        if row is None:
+            self.utility(weights.values[None])
+            row = 0
+        return float(self._last[2][row])
+
+    def _remembered(self, values: np.ndarray) -> int | None:
+        """Index of the first row of the last stack scored with the same bits as values."""
+        if not self._last:
+            return None
+        matches = (self._last[0] == np.asarray(values, dtype=np.float64).view(np.int64)).all(axis=1)
+        return int(matches.argmax()) if matches.any() else None
 
     def forgery_seed(self, t: int) -> bytes:
         """Seed of the state Byzantine executors forge in round t."""
@@ -254,7 +301,7 @@ def run_core(
     state = market.initial_state()
     # Validation accuracy of the current weights: the stopping test, the
     # round's record and the final figure all read this one evaluation.
-    val_acc = evaluate_metric(state[0], market.splits.validation)
+    val_acc = market.validation_accuracy(state[0])
     t = 0
     while t < scenario.t_max and val_acc < tau:
         honest_state, honest_digest, fed = honest_round(market, state, t)
@@ -274,7 +321,7 @@ def run_core(
         prev = adopted
 
         weights, p, access_counts = state
-        val_acc = evaluate_metric(weights, market.splits.validation)
+        val_acc = market.validation_accuracy(weights)
         record = dict(
             round=t,
             mini_rounds=mini_rounds,

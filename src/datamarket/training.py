@@ -104,13 +104,18 @@ class LabeledDataset:
         return len(self.labels)
 
     def take(self, indices: np.ndarray | slice) -> "LabeledDataset":
-        """The rows at ``indices``: a copy, or views of this dataset's arrays for a slice."""
-        return LabeledDataset(self.features[indices], self.labels[indices], self.class_count)
+        """The rows at ``indices``: a copy, or views of this dataset's arrays for a slice.
+
+        Rows of a checked dataset pass its checks, so they are not checked again.
+        """
+        rows = object.__new__(LabeledDataset)
+        vars(rows).update(
+            features=self.features[indices], labels=self.labels[indices], class_count=self.class_count
+        )
+        return rows
 
     def head(self, rows: int) -> "LabeledDataset":
-        if rows >= len(self):
-            return self
-        return LabeledDataset(self.features[:rows], self.labels[:rows], self.class_count)
+        return self if rows >= len(self) else self.take(slice(rows))
 
 
 @dataclass(frozen=True)
@@ -183,9 +188,9 @@ def _map_runs(fn, n: int, rows: int) -> list:
     fn takes a list of block slices and returns one result per block; the
     results are joined in block order.  The runs go to one worker per CPU,
     never more workers than blocks, and the calling thread takes the first
-    run itself; a single run uses no pool.
+    run itself; a single run uses no pool.  No rows make one empty block.
     """
-    blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+    blocks = [slice(start, min(start + rows, n)) for start in range(0, n, rows)] or [slice(0, 0)]
     workers = max(1, min(_cpu_count(), len(blocks)))
     cuts = [len(blocks) * i // workers for i in range(workers + 1)]
     runs = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -341,83 +346,106 @@ def local_updates(
     return local - w.values
 
 
-def predict_labels(w: ModelWeights, features: np.ndarray) -> np.ndarray:
-    """Argmax class of every row, computed in the row blocks that utility() uses."""
-    layers = _layers(w.values, w.spec.layer_dims)
-    rows = block_rows(w.spec)
-    if len(features) <= rows:  # one block: no block mapping
-        return _forward(layers, features)[0].argmax(axis=1)
-
-    def run_labels(run: list[slice]) -> list[np.ndarray]:
-        return [_forward(layers, features[block])[0].argmax(axis=1) for block in run]
-
-    return np.concatenate(_map_runs(run_labels, len(features), rows))
-
-
-def evaluate_metric(w: ModelWeights, eval_set: LabeledDataset) -> float:
-    """Fraction of rows whose argmax prediction matches the label."""
-    if len(eval_set) == 0:
-        raise EmptyEvalSet("empty evaluation set")
-    return float((predict_labels(w, eval_set.features) == eval_set.labels).mean())
-
-
-def _run_losses(
-    layers, features: np.ndarray, labels: np.ndarray, run: list[slice]
-) -> list[np.ndarray]:
-    """Summed cross-entropy of each model of a stack over each block of a run.
+def _run_logits(layers, features: np.ndarray, run: list[slice]):
+    """Each block's logits of every model of a stack, as (k, classes, rows).
 
     Each model gets its own small product per block.  Activations are held
     as (k, units, rows), so each unit's or class's values over a block are
     one contiguous slice: the bias adds, the class max and the class sum
     then run along the rows instead of along the short class axis.  The
     first layer's output, the largest array, goes into one buffer that the
-    run reuses.
+    run reuses, so a block's logits last only until the next block's are
+    made.
     """
     (first, first_bias), *rest = [
         (matrix.swapaxes(1, 2), bias[:, :, None]) for matrix, bias in layers
     ]
     buffer = np.empty((len(first), first.shape[1], run[0].stop - run[0].start))
-    sums = []
     for block in run:
-        y = labels[block]
-        z = np.matmul(first, features[block].T, out=buffer[..., : len(y)])
+        z = np.matmul(first, features[block].T, out=buffer[..., : block.stop - block.start])
         z += first_bias
         for matrix, bias in rest:
             np.tanh(z, out=z)
             z = np.matmul(matrix, z)
             z += bias
+        yield z
+
+
+def _run_labels(layers, features: np.ndarray, run: list[slice]) -> list[np.ndarray]:
+    """Each model's argmax class of each row of each block of a run, as (k, rows)."""
+    return [z.argmax(axis=1) for z in _run_logits(layers, features, run)]
+
+
+def predict_labels(w: ModelWeights, features: np.ndarray) -> np.ndarray:
+    """Argmax class of every row, the first top class on a tie, from utility()'s logits."""
+    layers = _layers(w.values[None], w.spec.layer_dims)
+    labels = _map_runs(partial(_run_labels, layers, features), len(features), block_rows(w.spec))
+    return np.concatenate(labels, axis=1)[0]
+
+
+def evaluate_metric(w: ModelWeights, eval_set: LabeledDataset) -> float:
+    """Fraction of rows whose argmax prediction matches the label.
+
+    Equal to the accuracy utility() gives the same weights, alone or in a stack.
+    """
+    if len(eval_set) == 0:
+        raise EmptyEvalSet("empty evaluation set")
+    return np.count_nonzero(predict_labels(w, eval_set.features) == eval_set.labels) / len(eval_set)
+
+
+def _run_losses(
+    layers, features: np.ndarray, labels: np.ndarray, run: list[slice]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Summed cross-entropy and correct-prediction count of each model over each block of a run.
+
+    A row is correct when its label is the argmax class, as in _run_labels.
+    """
+    scores = []
+    for block, z in zip(run, _run_logits(layers, features, run)):
+        y = labels[block]
+        correct = (z.argmax(axis=1) == y).sum(axis=1)
         top = z.max(axis=1)
         shifted = z - top[:, None]
         np.exp(shifted, out=shifted)
         losses = np.log(shifted.sum(axis=1))
         losses += top
         losses -= z[:, y, np.arange(len(y))]
-        sums.append(losses.sum(axis=1))
-    return sums
+        scores.append((losses.sum(axis=1), correct))
+    return scores
 
 
-def utility(spec: ModelSpec, stack: np.ndarray, eval_set: LabeledDataset) -> np.ndarray:
-    """Mean cross-entropy loss of each row of a (k, param_count) weight stack.
-
-    Lower means a better model.  One forward-only pass scores all k models,
-    in blocks of block_rows(spec) eval rows spread over the available CPUs;
-    the loss is taken from a log-sum-exp of the logits.  The block sums are
-    added in block order, so a model's score is bit-identical whatever the
-    thread count and whatever other models share the stack.
-    """
-    if len(eval_set) == 0:
-        raise EmptyEvalSet("empty evaluation set")
+def as_stack(spec: ModelSpec, stack: np.ndarray) -> np.ndarray:
+    """The stack as a float array, refused unless it is a non-empty (k, param_count) matrix."""
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim != 2 or not len(stack) or stack.shape[1] != spec.param_count:
         raise DimensionMismatch(
             f"expected a (k, {spec.param_count}) weight stack, got {stack.shape}"
         )
-    layers = _layers(stack, spec.layer_dims)
+    return stack
+
+
+def utility(
+    spec: ModelSpec, stack: np.ndarray, eval_set: LabeledDataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy loss and accuracy of each row of a (k, param_count) weight stack.
+
+    Lower loss means a better model; the accuracy is evaluate_metric's.
+    One forward-only pass scores all k models, in blocks of
+    block_rows(spec) eval rows spread over the available CPUs; the loss is
+    taken from a log-sum-exp of the logits.  The block sums are added in
+    block order, so a model's scores are bit-identical whatever the thread
+    count and whatever other models share the stack.
+    """
+    if len(eval_set) == 0:
+        raise EmptyEvalSet("empty evaluation set")
+    layers = _layers(as_stack(spec, stack), spec.layer_dims)
     run_losses = partial(_run_losses, layers, eval_set.features, eval_set.labels)
     total = np.zeros(len(stack))
-    for block_sum in _map_runs(run_losses, len(eval_set), block_rows(spec)):
+    correct = np.zeros(len(stack), dtype=np.int64)
+    for block_sum, block_correct in _map_runs(run_losses, len(eval_set), block_rows(spec)):
         total += block_sum
-    return total / len(eval_set)
+        correct += block_correct
+    return total / len(eval_set), correct / len(eval_set)
 
 
 def state_digest(w: ModelWeights, p: np.ndarray, counts: np.ndarray) -> bytes:

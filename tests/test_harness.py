@@ -16,7 +16,7 @@ from datamarket import adversary, harness
 from datamarket.cli import main as cli_main
 from datamarket.consensus import execution_set_size, sortition, threshold
 from datamarket.economics import analyze_payoffs
-from datamarket.errors import DegenerateParams, NoConsensus
+from datamarket.errors import DegenerateParams, DimensionMismatch, NoConsensus
 from datamarket.harness import (
     Market,
     build_splits,
@@ -29,7 +29,7 @@ from datamarket.harness import (
 )
 from datamarket.ledger import Ledger
 from datamarket.metrics import MetricsSink, agreement_csv, rounds_csv
-from datamarket.rng import derive_seed
+from datamarket.rng import derive_seed, rng_from
 from datamarket.scenario import (
     AdversaryConfig,
     DataConfig,
@@ -39,7 +39,7 @@ from datamarket.scenario import (
     load_scenario,
     parse_config,
 )
-from datamarket.training import ModelWeights, local_update, state_digest
+from datamarket.training import ModelWeights, evaluate_metric, local_update, state_digest, utility
 
 
 def conserved(ledger: Ledger) -> bool:
@@ -144,6 +144,99 @@ class TestHonestRound:
                 scenario, market.label, market.seller_ids, market.node_ids[:-1], market.splits,
                 market.shards,
             )
+
+
+def scored_once_scenario(hidden: int, ablation: str, utility_rows: int = 0) -> Scenario:
+    """30% Byzantine nodes and 20% Byzantine sellers, linear or MLP, under one ablation."""
+    base = robustness_scenario(5, 0.3, 0.2, t_max=6, hidden_units=hidden, ablation=ablation)
+    return replace(base, data=replace(base.data, utility_eval_rows=utility_rows))
+
+
+SCORED_ONCE_CASES = [
+    *[(hidden, ablation, 0) for hidden in (0, 8) for ablation in ("none", "no-krum", "no-consensus")],
+    (0, "none", 100),  # a utility set that is not the validation split
+    (8, "no-consensus", 100),
+]
+
+
+class TestScoredOnce:
+    """Each model runs forward once per round; a remembered score is the fresh one."""
+
+    @pytest.mark.parametrize("hidden, ablation, utility_rows", SCORED_ONCE_CASES)
+    def test_recorded_accuracy_is_the_adopted_weights(self, monkeypatch, hidden, ablation, utility_rows):
+        scenario = scored_once_scenario(hidden, ablation, utility_rows)
+        reads = []
+        original = Market.validation_accuracy
+
+        def spy(market, weights):
+            reads.append((market, weights, original(market, weights)))
+            return reads[-1][2]
+
+        monkeypatch.setattr(Market, "validation_accuracy", spy)
+        result = run_core(scenario)
+        assert len(result.records) == len(reads) - 1 == scenario.t_max
+        if ablation == "no-consensus":
+            assert result.wrong_adoptions > 0  # forged adoptions, which no stack scored
+        for record, (market, weights, accuracy) in zip(result.records, reads[1:]):
+            state = (weights, np.array(record["probabilities"]), np.array(record["access_counts"]))
+            assert state_digest(*state).hex() == record["accepted_digest"]
+            assert record["accuracy"] == accuracy == evaluate_metric(weights, market.splits.validation)
+
+    @pytest.mark.parametrize("hidden, ablation, utility_rows", SCORED_ONCE_CASES)
+    def test_no_row_is_scored_twice(self, monkeypatch, hidden, ablation, utility_rows):
+        rows = []
+
+        def spy(spec, stack, eval_set):
+            rows.extend(row.tobytes() for row in stack)
+            return utility(spec, stack, eval_set)
+
+        monkeypatch.setattr(harness, "utility", spy)
+        scenario = scored_once_scenario(hidden, ablation, utility_rows)
+        assert len(run_core(scenario).records) == scenario.t_max
+        assert len(rows) > scenario.t_max and len(set(rows)) == len(rows)
+
+    def test_market_remembers_only_its_last_stack(self, monkeypatch):
+        market = Market.standalone(quick_scenario(hidden_units=8))
+        scored = []
+
+        def spy(spec, stack, eval_set):
+            scored.append(stack.tolist())
+            return utility(spec, stack, eval_set)
+
+        monkeypatch.setattr(harness, "utility", spy)
+        a, b, c = rng_from(derive_seed("memo")).normal(size=(3, market.spec.param_count))
+        first = market.utility(np.stack([a, b]))
+        assert np.array_equal(first, utility(market.spec, np.stack([a, b]), market.utility_set)[0])
+        second = market.utility(np.stack([b, c]))  # the base row b is remembered
+        assert second[0] == first[1]
+        assert market.utility(c[None])[0] == second[1]  # a lone remembered row is not scored
+        market.utility(np.stack([a, c]))  # a was forgotten when [b, c] was scored
+        assert scored == [[a.tolist(), b.tolist()], [c.tolist()], [a.tolist(), c.tolist()]]
+
+    def test_row_matched_bit_for_bit(self, monkeypatch):
+        market = Market.standalone(quick_scenario())
+        scored = []
+
+        def spy(spec, stack, eval_set):
+            scored.append(stack.tolist())
+            return utility(spec, stack, eval_set)
+
+        monkeypatch.setattr(harness, "utility", spy)
+        zero = np.zeros(market.spec.param_count)
+        market.utility(zero[None])
+        market.utility(-zero[None])  # equal to zero, yet not the same bits
+        assert len(scored) == 2
+        assert market.validation_accuracy(ModelWeights(-zero, market.spec)) == evaluate_metric(
+            ModelWeights(zero, market.spec), market.splits.validation
+        )
+        assert len(scored) == 2
+
+    def test_stack_is_checked_before_the_memo(self):
+        market = Market.standalone(quick_scenario())
+        market.utility(np.zeros((1, market.spec.param_count)))
+        for bad in (np.zeros((0, market.spec.param_count)), np.zeros(market.spec.param_count)):
+            with pytest.raises(DimensionMismatch):
+                market.utility(bad)
 
 
 class TestAllByzantineCommittee:

@@ -124,7 +124,7 @@ class TestLocalUpdate:
         data = small_dataset(rows=200)
         w = init_weights(ModelSpec(5, 3), derive_seed("d"))
         delta = local_update(w, data, epochs=3, lr=0.05, batch=32, seed=derive_seed("d"))
-        after, before = utility(w.spec, np.stack([w.values + delta, w.values]), data)
+        (after, before), _ = utility(w.spec, np.stack([w.values + delta, w.values]), data)
         assert after < before
 
 
@@ -234,27 +234,33 @@ class TestEvaluateMetric:
 
 
     def test_single_block_maps_no_runs(self, monkeypatch):
-        def no_runs(*args):
+        def no_pool():
             raise AssertionError("a set of one block is labelled inline")
 
-        monkeypatch.setattr(training, "_map_runs", no_runs)
+        monkeypatch.setattr(training, "_block_pool", no_pool)
+        monkeypatch.setattr(training, "_cpu_count", lambda: 4)
         data = small_dataset(rows=100)
         w = init_weights(ModelSpec(5, 3, hidden=7), derive_seed("inline"))
         expected = predict_logits(w, data.features).argmax(axis=1)
         assert np.array_equal(predict_labels(w, data.features), expected)
+
+    def test_no_rows_give_no_labels(self):
+        w = init_weights(ModelSpec(5, 3, hidden=7), derive_seed("no-rows"))
+        assert predict_labels(w, np.empty((0, 5))).shape == (0,)
 
 
 class TestUtility:
     def test_uniform_model_gives_log_classes(self):
         data = small_dataset(classes=3)
         w = init_weights(ModelSpec(5, 3), derive_seed("u"))  # zeros -> uniform softmax
-        assert utility(w.spec, w.values[None], data)[0] == pytest.approx(np.log(3), rel=1e-12)
+        losses, _ = utility(w.spec, w.values[None], data)
+        assert losses[0] == pytest.approx(np.log(3), rel=1e-12)
 
     def test_gradient_step_reduces_loss(self):
         data = small_dataset(rows=150)
         w = init_weights(ModelSpec(5, 3), derive_seed("g"))
         _, grad = loss_and_grad(w, data.features, data.labels)
-        stepped, base = utility(w.spec, np.stack([w.values - 0.1 * grad, w.values]), data)
+        (stepped, base), _ = utility(w.spec, np.stack([w.values - 0.1 * grad, w.values]), data)
         assert stepped < base
 
     def test_non_negative(self):
@@ -263,7 +269,8 @@ class TestUtility:
         spec = ModelSpec(5, 3)
         for _ in range(20):
             w = ModelWeights(rng.normal(scale=3.0, size=spec.param_count), spec)
-            assert utility(spec, w.values[None], data)[0] >= 0.0
+            losses, _ = utility(spec, w.values[None], data)
+            assert losses[0] >= 0.0
 
     @pytest.mark.parametrize("hidden", [0, 7])
     @pytest.mark.parametrize("models", [1, 5])
@@ -273,11 +280,12 @@ class TestUtility:
         data = small_dataset(seed=hidden, rows=3 * block + block // 3 + 1)
         rng = rng_from(derive_seed("stack", hidden, models))
         stack = rng.normal(scale=0.5, size=(models, spec.param_count))
-        scores = utility(spec, stack, data)
-        assert scores.shape == (models,)
-        for row, score in zip(stack, scores):
+        scores, accuracies = utility(spec, stack, data)
+        assert scores.shape == accuracies.shape == (models,)
+        for row, score, accuracy in zip(stack, scores, accuracies):
             expected, _ = loss_and_grad(ModelWeights(row, spec), data.features, data.labels)
             assert score == pytest.approx(expected, rel=1e-12)
+            assert accuracy == evaluate_metric(ModelWeights(row, spec), data)
 
     @pytest.mark.parametrize("hidden", [0, 7])
     @pytest.mark.parametrize("workers", [2, 3, 8])
@@ -289,7 +297,8 @@ class TestUtility:
         monkeypatch.setattr(training, "_cpu_count", lambda: 1)
         alone = utility(spec, stack, data)
         monkeypatch.setattr(training, "_cpu_count", lambda: workers)
-        assert np.array_equal(utility(spec, stack, data), alone)
+        pooled = utility(spec, stack, data)
+        assert np.array_equal(pooled[0], alone[0]) and np.array_equal(pooled[1], alone[1])
 
     @pytest.mark.parametrize("hidden", [0, 7])
     def test_row_scored_alone_equals_row_in_stack(self, hidden):
@@ -297,10 +306,32 @@ class TestUtility:
         block = BLOCK_MACS // (5 * (hidden or 3))
         data = small_dataset(seed=hidden, rows=2 * block + 7)
         stack = rng_from(derive_seed("alone", hidden)).normal(size=(6, spec.param_count))
-        scores = utility(spec, stack, data)
+        scores, accuracies = utility(spec, stack, data)
+        assert len(set(accuracies.tolist())) > 1  # the rows differ in accuracy, not only in loss
         for i, row in enumerate(stack):
-            assert np.array_equal(utility(spec, row[None], data), scores[i : i + 1])
-        assert np.array_equal(utility(spec, stack[[4, 1]], data), scores[[4, 1]])
+            alone, alone_accuracy = utility(spec, row[None], data)
+            assert np.array_equal(alone, scores[i : i + 1])
+            assert np.array_equal(alone_accuracy, accuracies[i : i + 1])
+            assert evaluate_metric(ModelWeights(row, spec), data) == accuracies[i]
+        pair, pair_accuracies = utility(spec, stack[[4, 1]], data)
+        assert np.array_equal(pair, scores[[4, 1]])
+        assert np.array_equal(pair_accuracies, accuracies[[4, 1]])
+
+    @pytest.mark.parametrize("bias", [(0.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
+    def test_ties_go_to_the_first_top_class(self, bias):
+        # zero matrices: every row ties on the top classes, and the first of them is predicted
+        spec = ModelSpec(5, 3)
+        data = small_dataset(rows=90)
+        tied = np.concatenate([np.zeros(15), bias])
+        predicted = predict_logits(ModelWeights(tied, spec), data.features).argmax(axis=1)
+        expected = float(np.mean(predicted == data.labels))
+        assert 0.0 < expected < 0.5  # a shortcut that calls every top class right reads 1.0
+        _, alone = utility(spec, tied[None], data)
+        others = rng_from(derive_seed("tied")).normal(size=(2, spec.param_count))
+        _, in_stack = utility(spec, np.vstack([others[0], tied, others[1]]), data)
+        assert alone[0] == in_stack[1] == expected == evaluate_metric(ModelWeights(tied, spec), data)
+        _, untied = utility(spec, others, data)  # rows in a block with a tie keep their accuracy
+        assert np.array_equal(in_stack[[0, 2]], untied)
 
     def test_single_block_uses_no_pool(self, monkeypatch):
         def no_pool():
@@ -310,13 +341,15 @@ class TestUtility:
         monkeypatch.setattr(training, "_cpu_count", lambda: 4)
         spec = ModelSpec(5, 3, hidden=7)
         stack = rng_from(derive_seed("one-block")).normal(size=(3, spec.param_count))
-        assert utility(spec, stack, small_dataset(rows=100)).shape == (3,)
+        losses, accuracies = utility(spec, stack, small_dataset(rows=100))
+        assert losses.shape == accuracies.shape == (3,)
 
     def test_repeated_calls_bit_identical(self):
         spec = ModelSpec(5, 3, hidden=6)
         data = small_dataset(rows=500)
         stack = rng_from(derive_seed("rep")).normal(size=(4, spec.param_count))
-        assert np.array_equal(utility(spec, stack, data), utility(spec, stack, data))
+        (a, a_accuracy), (b, b_accuracy) = utility(spec, stack, data), utility(spec, stack, data)
+        assert np.array_equal(a, b) and np.array_equal(a_accuracy, b_accuracy)
 
     def test_empty_eval_set(self):
         empty = LabeledDataset(np.empty((0, 5)), np.empty(0, dtype=int), 3)
@@ -669,3 +702,12 @@ class TestPartitionShards:
             assert np.shares_memory(shard.features, pooled) or len(shard) == 0
             assert shard.features.tobytes() == expected.features.tobytes()
             assert shard.labels.tobytes() == expected.labels.tobytes()
+
+    def test_rows_of_a_checked_dataset_are_not_checked_again(self, monkeypatch):
+        data = TestDirichletPartition().build(rows=1000, classes=4)
+        plan = dirichlet_partition(data, 30, 0.1, derive_seed("unchecked"))
+        checked = []
+        monkeypatch.setattr(LabeledDataset, "__post_init__", checked.append)
+        shards = partition_shards(data, plan)
+        assert checked == [] and [len(shard) for shard in shards] == [len(i) for i in plan]
+        assert shards[0].class_count == data.class_count
