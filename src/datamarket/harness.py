@@ -14,6 +14,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -36,10 +37,12 @@ from .training import (
     LabeledDataset,
     ModelSpec,
     ModelWeights,
+    RowSet,
     State,
     as_stack,
     dirichlet_partition,
     evaluate_metric,
+    gather_rows,
     init_weights,
     load_idx,
     local_updates,
@@ -106,8 +109,8 @@ def _ids(prefix: str, count: int) -> tuple[str, ...]:
     return tuple([f"{prefix}{i:03d}" for i in range(count)])
 
 
-def _seller_shards(scenario: Scenario, splits: DatasetSplits) -> list[LabeledDataset]:
-    """Every seller's training rows: a seeded Dirichlet partition of the train split."""
+def _seller_shards(scenario: Scenario, splits: DatasetSplits) -> list[RowSet]:
+    """Every seller's training rows, by index: a seeded Dirichlet partition of the train split."""
     seed = derive_seed(scenario.root_seed, "partition")
     plan = dirichlet_partition(splits.train, scenario.sellers, scenario.data.partition_alpha, seed)
     return partition_shards(splits.train, plan)
@@ -119,9 +122,11 @@ class Market:
 
     Seller ``i`` of a round is ``seller_ids[i]``, holding ``shards[i]``: the
     sellers the auction matched, in id order, or every seller of the
-    scenario in a standalone run.  ``node_ids`` is the run's one node table,
-    the ids the ledger registered; committees index it, and ``byz_nodes`` and
-    ``byz_sellers`` mask it and the sellers.  The market is also the rounds'
+    scenario in a standalone run.  A shard names its rows by index into the
+    run's one feature array, and a round gathers the rows of the sellers it
+    trains.  ``node_ids`` is the run's one node table, the ids the ledger
+    registered; committees index it, and ``byz_nodes`` and ``byz_sellers``
+    mask it and the sellers.  The market is also the rounds'
     :class:`fedcore.SellerOracle`.
 
     Besides these constants, the market remembers the last stack it scored
@@ -137,7 +142,7 @@ class Market:
     root: bytes  # the scenario's root seed
     label: str  # the auction's tags; every per-round seed derives from root and label
     seller_ids: tuple[str, ...]
-    shards: tuple[LabeledDataset, ...]
+    shards: tuple[RowSet, ...]
     splits: DatasetSplits
     node_ids: tuple[str, ...]
     byz_nodes: np.ndarray
@@ -150,7 +155,7 @@ class Market:
     @classmethod
     def build(
         cls, scenario: Scenario, label: str, seller_ids: Sequence[str], node_ids: tuple[str, ...],
-        splits: DatasetSplits, shards: Sequence[LabeledDataset],
+        splits: DatasetSplits, shards: Sequence[RowSet],
     ) -> Market:
         """The market over these sellers and nodes; Byzantine roles follow from the scenario."""
         if len(node_ids) != scenario.nodes:
@@ -165,7 +170,9 @@ class Market:
             scenario=scenario, root=root, label=label, seller_ids=tuple(seller_ids),
             shards=tuple(shards), splits=splits, node_ids=node_ids, byz_nodes=byz_nodes,
             byz_sellers=byz_sellers,
-            spec=ModelSpec(train.features.shape[1], train.class_count, scenario.hidden_units),
+            spec=ModelSpec(
+                train.dataset.features.shape[1], train.class_count, scenario.hidden_units
+            ),
             utility_set=validation.head(rows) if rows else validation,
         )
 
@@ -190,18 +197,26 @@ class Market:
     ) -> np.ndarray:
         """The sellers' deltas for the weights, every non-empty shard trained in one call.
 
-        A seller with an empty shard proposes a zero delta.  A Byzantine
+        The rows of these sellers' shards are gathered with one index.  A
+        seller with an empty shard proposes a zero delta.  A Byzantine
         seller trains on its adversarial shard, and its update is then
         transformed by its strategy.
         """
         adversary, train = self.scenario.adversary, self.scenario.train
         deltas = np.zeros((len(sellers), len(values)))
-        shards = {j: self.shards[i] for j, i in enumerate(sellers) if len(self.shards[i])}
-        byz = [j for j in shards if self.byz_sellers[sellers[j]]]
-        for j in byz:
-            shards[j] = adv.malicious_seller_shard(adversary, shards[j])
-        deltas[list(shards)] = local_updates(
-            ModelWeights(values, self.spec), list(shards.values()), [seeds[j] for j in shards],
+        shards = [self.shards[i] for i in sellers]
+        held = [j for j, shard in enumerate(shards) if len(shard)]
+        if not held:
+            return deltas
+        pool = gather_rows([shards[j] for j in held])
+        sizes = [len(shards[j]) for j in held]
+        byz = [j for j in held if self.byz_sellers[sellers[j]]]
+        firsts = dict(zip(held, accumulate(sizes, initial=0)))
+        for j in byz:  # views of the rows this round gathered, so the labels are its own to change
+            shard = pool.take(slice(firsts[j], firsts[j] + len(shards[j])))
+            shard.labels[:] = adv.malicious_seller_shard(adversary, shard).labels
+        deltas[held] = local_updates(
+            ModelWeights(values, self.spec), pool, sizes, [seeds[j] for j in held],
             epochs=train.epochs, lr=train.lr, batch=train.batch,
         )
         for j in byz:

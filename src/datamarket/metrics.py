@@ -7,6 +7,9 @@ import io
 import json
 from pathlib import Path
 
+# one encoder for every event; json.dumps with sort_keys builds a new one per call
+_event_json = json.JSONEncoder(sort_keys=True).encode
+
 
 class MetricsSink:
     """Collects structured events; serialization is deterministic."""
@@ -18,7 +21,7 @@ class MetricsSink:
         self.events.append({"event": kind, **data})
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.events)
+        return "\n".join(map(_event_json, self.events))
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.to_jsonl() + ("\n" if self.events else ""))

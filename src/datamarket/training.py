@@ -119,8 +119,42 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True)
+class RowSet:
+    """Rows of one dataset named by their indices: a train split or a seller's shard.
+
+    Only :func:`gather_rows` copies their feature rows.
+    """
+
+    dataset: LabeledDataset
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.dataset.labels[self.index]
+
+    @property
+    def class_count(self) -> int:
+        return self.dataset.class_count
+
+    def take(self, positions: np.ndarray) -> "RowSet":
+        """The rows at these positions of this set, still named by their indices."""
+        return RowSet(self.dataset, self.index[positions])
+
+
+def gather_rows(sets: Sequence[RowSet]) -> LabeledDataset:
+    """The rows of every set, one set after another, gathered with one index.
+
+    The sets must name rows of one dataset.
+    """
+    return sets[0].dataset.take(np.concatenate([rows.index for rows in sets]))
+
+
+@dataclass(frozen=True)
 class DatasetSplits:
-    train: LabeledDataset
+    train: RowSet
     validation: LabeledDataset
     test: LabeledDataset
 
@@ -295,12 +329,13 @@ def local_update(
 
     The one-shard case of :func:`local_updates`.
     """
-    return local_updates(w, [shard], [seed], epochs=epochs, lr=lr, batch=batch)[0]
+    return local_updates(w, shard, [len(shard)], [seed], epochs=epochs, lr=lr, batch=batch)[0]
 
 
 def local_updates(
     w: ModelWeights,
-    shards: Sequence[LabeledDataset],
+    pool: LabeledDataset,
+    sizes: Sequence[int],
     seeds: Sequence[bytes],
     epochs: int = 3,
     lr: float = 0.01,
@@ -308,20 +343,21 @@ def local_updates(
 ) -> np.ndarray:
     """Each shard's parameter delta after mini-batch gradient descent from w, as a (k, P) matrix.
 
-    Shard i's rows are reshuffled each epoch from seeds[i].  At each batch
-    offset, the shards whose batch there has the same row count take one
-    step together over a (g, rows, d) stack; shards are grouped, never
-    padded, and each model of a stack gets its own products.  So row i is
-    a pure function of (w, shards[i], hyperparameters, seeds[i]),
+    The shards lie one after another in the pool: shard i is the next
+    sizes[i] rows.  Shard i's rows are reshuffled each epoch from seeds[i].
+    At each batch offset, the shards whose batch there has the same row
+    count take one step together over a (g, rows, d) stack; shards are
+    grouped, never padded, and each model of a stack gets its own products.
+    So row i is a pure function of (w, shard i, hyperparameters, seeds[i]),
     bit-identical to training that shard alone.
     """
-    sizes = [len(shard) for shard in shards]
     if 0 in sizes:
         raise EmptyShard("cannot train on an empty shard")
-    if not shards:
+    if sum(sizes) != len(pool):
+        raise DimensionMismatch("shard sizes do not add up to the pool's rows")
+    if not sizes:
         return np.empty((0, w.spec.param_count))
-    features = np.concatenate([shard.features for shard in shards])
-    labels = np.concatenate([shard.labels for shard in shards])
+    features, labels = pool.features, pool.labels
     firsts = np.cumsum(sizes) - sizes  # where each shard's rows begin in the pool
     groups: dict[tuple[int, int], list[int]] = {}  # (offset, batch rows) -> shards
     for i, size in enumerate(sizes):
@@ -333,7 +369,7 @@ def local_updates(
         for (start, rows), members in groups.items()
     ]
     rngs = [rng_from(seed) for seed in seeds]
-    local = np.tile(w.values, (len(shards), 1))
+    local = np.tile(w.values, (len(sizes), 1))
     for _ in range(epochs):
         order = np.concatenate([rng.permutation(size) for rng, size in zip(rngs, sizes)])
         order += np.repeat(firsts, sizes)
@@ -510,19 +546,28 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     return LabeledDataset(features, labels.astype(np.int64), class_count)
 
 
-def split_dataset(dataset: LabeledDataset) -> DatasetSplits:
-    """80/10/10 split in row order; the flooring remainder stays in train.
+def _split_points(rows: int) -> tuple[int, int]:
+    """Where validation and test begin in an 80/10/10 split; the flooring remainder stays in train.
 
-    Each split is a row slice of the dataset's own arrays, so nothing is copied.
+    Below 10 rows the validation and test sets would be empty, so the
+    dataset is refused.
     """
-    rows = len(dataset)
-    n_val = rows // 10
-    n_test = rows // 10
-    n_train = rows - n_val - n_test
+    if rows < 10:
+        raise EmptyEvalSet(f"an 80/10/10 split needs at least 10 rows, not {rows}")
+    return rows - 2 * (rows // 10), rows - rows // 10
+
+
+def split_dataset(dataset: LabeledDataset) -> DatasetSplits:
+    """80/10/10 split in row order.
+
+    The train split names its rows by index, and validation and test are
+    row slices of the dataset's own arrays, so no row is copied.
+    """
+    validation, test = _split_points(len(dataset))
     return DatasetSplits(
-        train=dataset.take(slice(0, n_train)),
-        validation=dataset.take(slice(n_train, n_train + n_val)),
-        test=dataset.take(slice(n_train + n_val, rows)),
+        train=RowSet(dataset, np.arange(validation)),
+        validation=dataset.take(slice(validation, test)),
+        test=dataset.take(slice(test, None)),
     )
 
 
@@ -531,10 +576,14 @@ def synth_dataset(spec: SynthSpec, rows: int, seed: bytes) -> DatasetSplits:
 
     Class k's mean is ``separation`` on axis k: each row draws its noise at
     scale ``noise`` and adds ``separation`` to its label's column.  The rows
-    are then shuffled once, and the splits are slices of that one array.
+    stay in the one array they were drawn into, and a seeded shuffle of
+    their indices deals them to the splits.  The train split names its rows
+    by index; validation and test are each gathered once, since the scorer
+    reads them in contiguous blocks.
     """
     if rows < spec.class_count:
         raise ValueError("need at least one row per class")
+    validation, test = _split_points(rows)
     rng = rng_from(seed)
     counts = [rows // spec.class_count] * spec.class_count
     for k in range(rows % spec.class_count):
@@ -542,13 +591,17 @@ def synth_dataset(spec: SynthSpec, rows: int, seed: bytes) -> DatasetSplits:
     labels = np.repeat(np.arange(spec.class_count), counts)
     features = rng.normal(0.0, spec.noise, size=(rows, spec.dims))
     features[np.arange(rows), labels] += spec.separation
+    full = LabeledDataset(features, labels, spec.class_count)
     order = rng.permutation(rows)
-    full = LabeledDataset(features[order], labels[order], spec.class_count)
-    return split_dataset(full)
+    return DatasetSplits(
+        train=RowSet(full, order[:validation]),
+        validation=full.take(order[validation:test]),
+        test=full.take(order[test:]),
+    )
 
 
 def dirichlet_partition(
-    dataset: LabeledDataset,
+    dataset: LabeledDataset | RowSet,
     sellers: int,
     concentration: float,
     seed: bytes,
@@ -566,10 +619,11 @@ def dirichlet_partition(
     if concentration <= 0:
         raise ValueError("concentration must be positive")
     rng = rng_from(seed)
+    labels = dataset.labels
     # the smallest integer type that holds a seller: up to 65536 sellers sort by radix
-    seller_of = np.empty(len(dataset), dtype=np.min_scalar_type(sellers - 1))
+    seller_of = np.empty(len(labels), dtype=np.min_scalar_type(sellers - 1))
     for k in range(dataset.class_count):
-        idx = np.nonzero(dataset.labels == k)[0]
+        idx = np.nonzero(labels == k)[0]
         if len(idx) == 0:
             continue
         idx = rng.permutation(idx)
@@ -581,10 +635,6 @@ def dirichlet_partition(
     return np.split(order, np.cumsum(np.bincount(seller_of, minlength=sellers))[:-1])
 
 
-def partition_shards(
-    dataset: LabeledDataset, plan: list[np.ndarray]
-) -> list[LabeledDataset]:
-    """Each plan entry's rows, as row slices of one copy gathered in plan order."""
-    pooled = dataset.take(np.concatenate(plan))
-    ends = np.cumsum([len(indices) for indices in plan])
-    return [pooled.take(slice(end - len(indices), end)) for end, indices in zip(ends, plan)]
+def partition_shards(dataset: RowSet, plan: list[np.ndarray]) -> list[RowSet]:
+    """Each plan entry's rows of the dataset, named by index; no row is copied."""
+    return [dataset.take(indices) for indices in plan]

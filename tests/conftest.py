@@ -1,9 +1,13 @@
-"""Shared scenario factories for the test suite."""
+"""Shared scenario factories and reference helpers for the test suite."""
 
+import struct
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from datamarket.rng import rng_from
 from datamarket.scenario import (
     AdversaryConfig,
     ConsensusConfig,
@@ -66,3 +70,49 @@ def robustness_scenario(seed: int, node_fraction: float, seller_fraction: float,
 @pytest.fixture
 def scenario():
     return quick_scenario()
+
+
+def write_idx_pair(tmp_path, images, labels):
+    rows, cols = images.shape[1], images.shape[2]
+    img_path = tmp_path / "images.idx"
+    lbl_path = tmp_path / "labels.idx"
+    img_path.write_bytes(
+        struct.pack(">iiii", 0x00000803, len(images), rows, cols)
+        + images.astype(np.uint8).tobytes()
+    )
+    lbl_path.write_bytes(
+        struct.pack(">ii", 0x00000801, len(labels)) + labels.astype(np.uint8).tobytes()
+    )
+    return str(img_path), str(lbl_path)
+
+
+def reference_synth_dataset(spec, rows, seed):
+    """(features, labels) of each split, built with every full-size intermediate.
+
+    Each row's class mean is gathered into a full matrix and added to the
+    scaled draws, and the splits are copies taken by index.
+    """
+    rng = rng_from(seed)
+    counts = [rows // spec.class_count] * spec.class_count
+    for k in range(rows % spec.class_count):
+        counts[k] += 1
+    labels = np.repeat(np.arange(spec.class_count), counts)
+    means = np.zeros((spec.class_count, spec.dims))
+    means[np.arange(spec.class_count), np.arange(spec.class_count)] = spec.separation
+    features = means[labels] + spec.noise * rng.normal(size=(rows, spec.dims))
+    order = rng.permutation(rows)
+    features, labels = features[order], labels[order]
+    n_train = rows - 2 * (rows // 10)
+    parts = np.split(np.arange(rows), (n_train, n_train + rows // 10))
+    return [(features[idx], labels[idx]) for idx in parts]
+
+
+def traced_memory(build) -> tuple[int, int]:
+    """Bytes traced as still held when ``build()`` returns, and their peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = build()  # alive while the figures are read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held, peak

@@ -23,6 +23,7 @@ from datamarket.training import (
     LabeledDataset,
     ModelSpec,
     TrainConfig,
+    gather_rows,
     init_weights,
     local_update,
     state_digest,
@@ -193,7 +194,9 @@ class TestSellerStrategies:
         adversary = AdversaryConfig(seller_fraction=1.0)
         market = Market.standalone(quick_scenario(train=train, adversary=adversary))
         w = market.initial_state()[0]
-        honest = local_update(w, market.shards[3], epochs=1, lr=0.5, batch=8, seed=self.seed)
+        honest = local_update(
+            w, gather_rows([market.shards[3]]), epochs=1, lr=0.5, batch=8, seed=self.seed
+        )
         out = market.local_deltas([3], w.values, [self.seed])
         assert np.array_equal(out, [adversary.scale_factor * honest])
 

@@ -1,11 +1,11 @@
 """Models, gradients, datasets, partitioning, hashing, and the IDX loader."""
 
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import reference_synth_dataset, traced_memory, write_idx_pair
 from datamarket import training
 from datamarket.errors import (
     BadMagic,
@@ -21,9 +21,11 @@ from datamarket.training import (
     LabeledDataset,
     ModelSpec,
     ModelWeights,
+    RowSet,
     SynthSpec,
     dirichlet_partition,
     evaluate_metric,
+    gather_rows,
     init_weights,
     load_idx,
     local_update,
@@ -56,17 +58,6 @@ def small_dataset(seed=0, rows=60, dims=5, classes=3):
     labels = rng.integers(0, classes, size=rows)
     features = rng.normal(size=(rows, dims)) + 2.0 * np.eye(dims)[:classes][labels][:, :dims]
     return LabeledDataset(features, labels, classes)
-
-
-def traced_peak_ratio(build):
-    """Peak bytes traced while ``build()`` runs, over the bytes still held when it returns."""
-    tracemalloc.start()
-    try:
-        result = build()  # alive while the figures are read
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / held
 
 
 class TestLabeledDataset:
@@ -141,6 +132,13 @@ def trained_alone(w: ModelWeights, shard: LabeledDataset, epochs, lr, batch, see
     return local - w.values
 
 
+def pooled(shards):
+    """The shards' rows one after another, as local_updates takes them."""
+    features = np.concatenate([shard.features for shard in shards])
+    labels = np.concatenate([shard.labels for shard in shards])
+    return LabeledDataset(features, labels, shards[0].class_count)
+
+
 class TestLocalUpdates:
     BATCH = 8
 
@@ -159,7 +157,7 @@ class TestLocalUpdates:
         seeds = [derive_seed("stacked", i) for i in range(len(shards))]
         spec = ModelSpec(5, 3, hidden=hidden)
         w = ModelWeights(rng_from(derive_seed("w0", hidden)).normal(size=spec.param_count), spec)
-        stacked = local_updates(w, shards, seeds, epochs=epochs, lr=0.3, batch=b)
+        stacked = local_updates(w, pooled(shards), sizes, seeds, epochs=epochs, lr=0.3, batch=b)
         assert stacked.shape == (len(shards), spec.param_count)
         for row, shard, seed in zip(stacked, shards, seeds):
             alone = local_update(w, shard, epochs=epochs, lr=0.3, batch=b, seed=seed)
@@ -170,11 +168,17 @@ class TestLocalUpdates:
         w = init_weights(ModelSpec(5, 3), derive_seed("e"))
         empty = LabeledDataset(np.empty((0, 5)), np.empty(0, dtype=int), 3)
         with pytest.raises(EmptyShard):
-            local_updates(w, [small_dataset(), empty], [derive_seed("a"), derive_seed("b")])
+            local_updates(w, small_dataset(), [60, 0], [derive_seed("a"), derive_seed("b")])
+
+    def test_sizes_must_cover_the_pool(self):
+        w = init_weights(ModelSpec(5, 3), derive_seed("c"))
+        with pytest.raises(DimensionMismatch):
+            local_updates(w, small_dataset(), [30, 20], [derive_seed("a"), derive_seed("b")])
 
     def test_no_shards_no_rows(self):
         w = init_weights(ModelSpec(5, 3), derive_seed("none"))
-        assert local_updates(w, [], []).shape == (0, w.spec.param_count)
+        empty = LabeledDataset(np.empty((0, 5)), np.empty(0, dtype=int), 3)
+        assert local_updates(w, empty, [], []).shape == (0, w.spec.param_count)
 
 
 class TestPredictLogits:
@@ -421,20 +425,6 @@ GOLDEN_DIGEST = "bfce8b31c76a058b446a9186b48c37af015f9a458fea5ecaa232532454d4f23
 GOLDEN_MLP_DIGEST = "7b933f434a0399473e8df175820ff2e715318158a70ba4fac939c98423d450eb"
 
 
-def write_idx_pair(tmp_path, images, labels):
-    rows, cols = images.shape[1], images.shape[2]
-    img_path = tmp_path / "images.idx"
-    lbl_path = tmp_path / "labels.idx"
-    img_path.write_bytes(
-        struct.pack(">iiii", 0x00000803, len(images), rows, cols)
-        + images.astype(np.uint8).tobytes()
-    )
-    lbl_path.write_bytes(
-        struct.pack(">ii", 0x00000801, len(labels)) + labels.astype(np.uint8).tobytes()
-    )
-    return str(img_path), str(lbl_path)
-
-
 class TestIdxLoader:
     def test_round_trip_fixture(self, tmp_path):
         images = np.arange(4 * 2 * 3, dtype=np.uint8).reshape(4, 2, 3)
@@ -484,9 +474,11 @@ class TestIdxLoader:
         full = load_idx(img, lbl)
         assert full.features.tobytes() == (images.reshape(30, 6) / 255.0).tobytes()
         splits = split_dataset(full)
-        parts = (splits.train, splits.validation, splits.test)
-        for part in parts:
+        # the train split names the first 24 rows by index; validation and test are views
+        assert splits.train.dataset is full and np.array_equal(splits.train.index, np.arange(24))
+        for part in (splits.validation, splits.test):
             assert part.features.base is full.features and part.labels.base is full.labels
+        parts = (gather_rows([splits.train]), splits.validation, splits.test)
         assert np.array_equal(np.concatenate([part.features for part in parts]), full.features)
 
     def test_load_and_split_peak_memory(self, tmp_path):
@@ -494,7 +486,20 @@ class TestIdxLoader:
         rng = rng_from(derive_seed("idx-memory"))
         images = rng.integers(0, 256, size=(3000, 16, 16))
         img, lbl = write_idx_pair(tmp_path, images, rng.integers(0, 10, size=3000))
-        assert traced_peak_ratio(lambda: split_dataset(load_idx(img, lbl))) < 1.5
+        held, peak = traced_memory(lambda: split_dataset(load_idx(img, lbl)))
+        assert peak < 1.5 * held
+
+    @pytest.mark.parametrize("count", [8, 9])
+    def test_fewer_than_ten_rows_refused(self, tmp_path, count):
+        # the 80/10/10 split would leave validation and test empty
+        img, lbl = write_idx_pair(tmp_path, np.zeros((count, 2, 2)), np.arange(count) % 2)
+        with pytest.raises(EmptyEvalSet, match=f"at least 10 rows, not {count}"):
+            split_dataset(load_idx(img, lbl))
+
+    def test_ten_rows_split_8_1_1(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((10, 2, 2)), np.arange(10) % 2)
+        splits = split_dataset(load_idx(img, lbl))
+        assert [len(splits.train), len(splits.validation), len(splits.test)] == [8, 1, 1]
 
     def test_truncated_pixels(self, tmp_path):
         images = np.zeros((2, 2, 2), dtype=np.uint8)
@@ -504,27 +509,6 @@ class TestIdxLoader:
         open(img, "wb").write(data[:-3])
         with pytest.raises(TruncatedFile):
             load_idx(img, lbl)
-
-
-def reference_synth_dataset(spec, rows, seed):
-    """(features, labels) of each split, built with every full-size intermediate.
-
-    Each row's class mean is gathered into a full matrix and added to the
-    scaled draws, and the splits are copies taken by index.
-    """
-    rng = rng_from(seed)
-    counts = [rows // spec.class_count] * spec.class_count
-    for k in range(rows % spec.class_count):
-        counts[k] += 1
-    labels = np.repeat(np.arange(spec.class_count), counts)
-    means = np.zeros((spec.class_count, spec.dims))
-    means[np.arange(spec.class_count), np.arange(spec.class_count)] = spec.separation
-    features = means[labels] + spec.noise * rng.normal(size=(rows, spec.dims))
-    order = rng.permutation(rows)
-    features, labels = features[order], labels[order]
-    n_train = rows - 2 * (rows // 10)
-    parts = np.split(np.arange(rows), (n_train, n_train + rows // 10))
-    return [(features[idx], labels[idx]) for idx in parts]
 
 
 class TestSynthDataset:
@@ -541,24 +525,36 @@ class TestSynthDataset:
     def test_bit_identical_to_reference(self, spec, rows, seed):
         splits = synth_dataset(spec, rows, derive_seed("synth", seed))
         reference = reference_synth_dataset(spec, rows, derive_seed("synth", seed))
-        parts = (splits.train, splits.validation, splits.test)
+        parts = (gather_rows([splits.train]), splits.validation, splits.test)
         for part, (features, labels) in zip(parts, reference):
             assert part.features.tobytes() == features.tobytes()
             assert part.labels.tobytes() == labels.tobytes()
 
-    def test_splits_are_slices_of_one_array(self):
+    def test_train_split_indexes_the_drawn_rows(self):
         splits = synth_dataset(SynthSpec(), 503, derive_seed("views"))
-        parts = (splits.train, splits.validation, splits.test)
-        base = splits.train.features.base
-        assert base is not None and base.shape == (503, 16)
-        assert all(part.features.base is base for part in parts)
-        assert all(np.shares_memory(part.features, base) for part in parts)
-        assert len({id(part.labels.base) for part in parts}) == 1
+        drawn = splits.train.dataset
+        assert drawn.features.shape == (503, 16) and drawn.features.base is None
+        assert np.array_equal(drawn.labels, np.sort(drawn.labels))  # drawn class by class
+        assert len(np.unique(splits.train.index)) == len(splits.train) == 403
+        for part in (splits.validation, splits.test):  # gathered once, not views of the draws
+            assert not np.shares_memory(part.features, drawn.features)
+        # train, validation and test hold each drawn row once
+        parts = (gather_rows([splits.train]), splits.validation, splits.test)
+        rows = [part.features for part in parts]
+        assert sorted(map(bytes, np.concatenate(rows))) == sorted(map(bytes, drawn.features))
 
     def test_peak_memory(self):
-        # one array of draws and its shuffled copy; a full-size product and sum read about 2.9
+        # the draws, validation and test gathered once, the labels and the shuffle read about
+        # 1.27 of the feature bytes at the end and at the peak; a shuffled full copy of the
+        # draws read 1.03 at the end and 2.09 at the peak
         spec = SynthSpec(class_count=10, dims=32, separation=3.0)
-        assert traced_peak_ratio(lambda: synth_dataset(spec, 20_000, derive_seed("memory"))) < 2.5
+
+        def build():
+            return synth_dataset(spec, 20_000, derive_seed("memory"))
+
+        build()  # first calls allocate caches of their own
+        held, peak = traced_memory(build)
+        assert held < 1.35 * 20_000 * 32 * 8 and peak < 1.1 * held
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -573,10 +569,9 @@ class TestSynthDataset:
         spec = ModelSpec(4, 2)
         w = init_weights(spec, derive_seed("init"))
         values = w.values.copy()
+        train = gather_rows([splits.train])
         for _ in range(80):
-            _, grad = loss_and_grad(
-                w.with_values(values), splits.train.features, splits.train.labels
-            )
+            _, grad = loss_and_grad(w.with_values(values), train.features, train.labels)
             values -= 0.5 * grad
         assert evaluate_metric(w.with_values(values), splits.test) >= 0.99
 
@@ -584,7 +579,7 @@ class TestSynthDataset:
         spec = SynthSpec()
         a = synth_dataset(spec, 500, derive_seed("stable"))
         b = synth_dataset(spec, 500, derive_seed("stable"))
-        assert np.array_equal(a.train.features, b.train.features)
+        assert np.array_equal(gather_rows([a.train]).features, gather_rows([b.train]).features)
         assert np.array_equal(a.test.labels, b.test.labels)
 
     def test_split_sizes_floor_remainder_to_train(self):
@@ -689,25 +684,31 @@ class TestDirichletPartition:
 
 
 class TestPartitionShards:
-    def test_shards_are_slices_of_one_pooled_copy(self):
+    def train_split(self, seed):
+        """The rows of a dataset that a shuffle puts first, named by index."""
         data = TestDirichletPartition().build(rows=1000, classes=4)
-        plan = dirichlet_partition(data, 30, 0.1, derive_seed("pool"))
-        shards = partition_shards(data, plan)
-        pooled = shards[0].features.base
-        assert pooled is not None and len(pooled) == len(data)
-        assert not np.shares_memory(pooled, data.features)
+        return RowSet(data, rng_from(derive_seed(seed)).permutation(1000)[:800])
+
+    def test_shards_index_the_one_array(self):
+        train = self.train_split("pool")
+        copied = gather_rows([train])  # the train split as a copy of its rows
+        plan = dirichlet_partition(train, 30, 0.1, derive_seed("pool"))
+        reference = dirichlet_partition(copied, 30, 0.1, derive_seed("pool"))
+        assert [a.tobytes() for a in plan] == [b.tobytes() for b in reference]
+        assert any(len(indices) == 0 for indices in plan)
+        shards = partition_shards(train, plan)
         for shard, indices in zip(shards, plan):
-            expected = data.take(indices)
-            assert shard.features.base is pooled and shard.labels.base is shards[0].labels.base
-            assert np.shares_memory(shard.features, pooled) or len(shard) == 0
-            assert shard.features.tobytes() == expected.features.tobytes()
-            assert shard.labels.tobytes() == expected.labels.tobytes()
+            expected = copied.take(indices)
+            assert shard.dataset is train.dataset and len(shard) == len(indices)
+            rows = gather_rows([shard])
+            assert rows.features.tobytes() == expected.features.tobytes()
+            assert rows.labels.tobytes() == expected.labels.tobytes()
 
     def test_rows_of_a_checked_dataset_are_not_checked_again(self, monkeypatch):
-        data = TestDirichletPartition().build(rows=1000, classes=4)
-        plan = dirichlet_partition(data, 30, 0.1, derive_seed("unchecked"))
+        train = self.train_split("unchecked")
+        plan = dirichlet_partition(train, 30, 0.1, derive_seed("unchecked"))
         checked = []
         monkeypatch.setattr(LabeledDataset, "__post_init__", checked.append)
-        shards = partition_shards(data, plan)
-        assert checked == [] and [len(shard) for shard in shards] == [len(i) for i in plan]
-        assert shards[0].class_count == data.class_count
+        rows = [gather_rows([shard]) for shard in partition_shards(train, plan)]
+        assert checked == [] and [len(shard) for shard in rows] == [len(i) for i in plan]
+        assert rows[0].class_count == train.class_count
