@@ -40,7 +40,6 @@ from .fedcore import (
     omd_update,
     run_federated_round,
     sample_sellers,
-    update_access_counts,
     utility_estimates,
 )
 from .harness import (

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .consensus import likelihood_scores
 from .economics import PayoffParams, analyze_payoffs, geometric_catch_prob
+from .errors import MarketError
 from .harness import byzantine_grid, run_auction_to_completion, run_experiment_grid
 from .ledger import Ledger
 from .metrics import MetricsSink, rounds_csv
@@ -20,10 +21,7 @@ from .scenario import AnalysisConfig, ConsensusConfig, Scenario, load_scenario
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("DATAMARKET_OUT", "out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out or os.environ.get("DATAMARKET_OUT", "out"))
 
 
 def _load(args):
@@ -35,9 +33,10 @@ def _load(args):
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
-    out = _out_dir(args)
     sink = MetricsSink()
     result = run_auction_to_completion(scenario, sink=sink)
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "rounds.csv").write_text(
         rounds_csv(
             result.run.records if result.run else [],
@@ -193,7 +192,11 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MarketError, ValueError, OSError) as exc:  # a refused input, not a program fault
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ the one closest to their mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -60,32 +60,26 @@ def sample_sellers(p: np.ndarray, k: int, seed: bytes) -> np.ndarray:
     return rng.choice(len(p), size=k, replace=True, p=p / p.sum())
 
 
-def update_access_counts(counts: np.ndarray, sample: np.ndarray) -> np.ndarray:
-    """Add the sample multiplicities onto the per-seller access counts."""
-    counts = np.asarray(counts, dtype=np.int64)
-    increment = np.bincount(np.asarray(sample), minlength=len(counts))
-    return counts + increment.astype(np.int64)
-
-
 def utility_estimates(
-    sample: np.ndarray,
+    multiplicity: np.ndarray,
     p: np.ndarray,
     k: int,
-    delta_utilities: Mapping[int, float],
+    deltas: np.ndarray,
 ) -> np.ndarray:
     """Importance-weighted utility estimates; zero for unsampled sellers.
 
-    For a sampled seller i the estimate is
-    (multiplicity_i / (k * p_i)) * delta_utilities[i], which makes the
-    estimator unbiased under sampling from p.
+    ``multiplicity[i]`` counts seller i's draws among the k, and ``deltas``
+    holds the sampled sellers' utility changes in index order.  For a
+    sampled seller i the estimate is (multiplicity_i / (k * p_i)) * delta_i,
+    which makes the estimator unbiased under sampling from p.
     """
-    p = np.asarray(p, dtype=float)
+    multiplicity, p = np.asarray(multiplicity), np.asarray(p, dtype=float)
+    sampled = np.flatnonzero(multiplicity)
+    zero = sampled[p[sampled] == 0.0]
+    if len(zero):
+        raise ZeroProbabilitySampled(f"seller {zero[0]} sampled with zero probability")
     u_hat = np.zeros(len(p))
-    multiplicity = np.bincount(np.asarray(sample), minlength=len(p))
-    for i in np.nonzero(multiplicity)[0]:
-        if p[i] == 0.0:
-            raise ZeroProbabilitySampled(f"seller {i} sampled with zero probability")
-        u_hat[i] = multiplicity[i] / (k * p[i]) * delta_utilities[int(i)]
+    u_hat[sampled] = multiplicity[sampled] / (k * p[sampled]) * np.asarray(deltas, dtype=float)
     return u_hat
 
 
@@ -237,16 +231,14 @@ def run_federated_round(
     k = params.batch_size
 
     sample = sample_sellers(p, k, derive_seed(seed, "sample"))
-    sampled_sellers = sorted(int(i) for i in set(sample.tolist()))
+    multiplicity = np.bincount(sample, minlength=len(p))
+    sampled_sellers = np.flatnonzero(multiplicity).tolist()
     seller_seeds = [derive_seed(seed, "seller", i) for i in sampled_sellers]
     deltas = oracle.local_deltas(sampled_sellers, values, seller_seeds)
 
-    new_counts = update_access_counts(counts, sample)
-
     candidates = values + params.step_size * deltas
     scores = oracle.utility(np.vstack([values, candidates]))
-    delta_utilities = dict(zip(sampled_sellers, (scores[1:] - scores[0]).tolist()))
-    u_hat = utility_estimates(sample, p, k, delta_utilities)
+    u_hat = utility_estimates(multiplicity, p, k, scores[1:] - scores[0])
     new_p = omd_update(p, u_hat, params.learning_rate, params.floor_fraction)
 
     if aggregator == "corrected-krum":
@@ -261,7 +253,7 @@ def run_federated_round(
     return FederatedRoundResult(
         values=new_values,
         probabilities=new_p,
-        access_counts=new_counts,
+        access_counts=counts + multiplicity,
         sampled=tuple(int(i) for i in sample),
         chosen_seller=sampled_sellers[chosen] if chosen >= 0 else -1,
     )

@@ -109,24 +109,16 @@ def _ids(prefix: str, count: int) -> tuple[str, ...]:
     return tuple([f"{prefix}{i:03d}" for i in range(count)])
 
 
-def _seller_shards(scenario: Scenario, splits: DatasetSplits) -> list[RowSet]:
-    """Every seller's training rows, by index: a seeded Dirichlet partition of the train split."""
-    seed = derive_seed(scenario.root_seed, "partition")
-    plan = dirichlet_partition(splits.train, scenario.sellers, scenario.data.partition_alpha, seed)
-    return partition_shards(splits.train, plan)
-
-
 @dataclass(frozen=True, eq=False)
 class Market:
     """The constants every round of one run reads, fixed before the first round.
 
-    Seller ``i`` of a round is ``seller_ids[i]``, holding ``shards[i]``: the
-    sellers the auction matched, in id order, or every seller of the
-    scenario in a standalone run.  A shard names its rows by index into the
-    run's one feature array, and a round gathers the rows of the sellers it
-    trains.  ``node_ids`` is the run's one node table, the ids the ledger
-    registered; committees index it, and ``byz_nodes`` and ``byz_sellers``
-    mask it and the sellers.  The market is also the rounds'
+    Seller ``i`` of a round is ``seller_ids[i]``, holding ``shards[i]``:
+    every seller of the scenario, in table order.  A shard names its rows by
+    index into the run's one feature array, and a round gathers the rows of
+    the sellers it trains.  ``node_ids`` is the run's one node table, the ids
+    the ledger registers; committees index it, and ``byz_nodes`` and
+    ``byz_sellers`` mask it and the sellers.  The market is also the rounds'
     :class:`fedcore.SellerOracle`.
 
     Besides these constants, the market remembers the last stack it scored
@@ -153,37 +145,27 @@ class Market:
     _last: list = field(default_factory=list, init=False, repr=False)
 
     @classmethod
-    def build(
-        cls, scenario: Scenario, label: str, seller_ids: Sequence[str], node_ids: tuple[str, ...],
-        splits: DatasetSplits, shards: Sequence[RowSet],
-    ) -> Market:
-        """The market over these sellers and nodes; Byzantine roles follow from the scenario."""
-        if len(node_ids) != scenario.nodes:
-            raise ValueError(f"the scenario has {scenario.nodes} nodes, not {len(node_ids)}")
+    def build(cls, scenario: Scenario, label: str) -> Market:
+        """Every seller and node of the scenario, with shards, roles and model, under the label.
+
+        A dataset or model the scenario cannot build is refused here.
+        """
         root = scenario.root_seed
-        byz_nodes, byz_sellers = adv.assign_roles(
-            len(node_ids), len(seller_ids), scenario.adversary, derive_seed(root, "adversary")
-        )
+        splits = build_splits(scenario)
         train, validation = splits.train, splits.validation
+        spec = ModelSpec(train.dataset.features.shape[1], train.class_count, scenario.hidden_units)
+        plan = dirichlet_partition(
+            train, scenario.sellers, scenario.data.partition_alpha, derive_seed(root, "partition")
+        )
+        byz_nodes, byz_sellers = adv.assign_roles(
+            scenario.nodes, scenario.sellers, scenario.adversary, derive_seed(root, "adversary")
+        )
         rows = scenario.data.utility_eval_rows
         return cls(
-            scenario=scenario, root=root, label=label, seller_ids=tuple(seller_ids),
-            shards=tuple(shards), splits=splits, node_ids=node_ids, byz_nodes=byz_nodes,
-            byz_sellers=byz_sellers,
-            spec=ModelSpec(
-                train.dataset.features.shape[1], train.class_count, scenario.hidden_units
-            ),
-            utility_set=validation.head(rows) if rows else validation,
-        )
-
-    @classmethod
-    def standalone(cls, scenario: Scenario) -> Market:
-        """Every seller of the scenario, outside any auction."""
-        splits = build_splits(scenario)
-        shards = _seller_shards(scenario, splits)
-        return cls.build(
-            scenario, "standalone", _ids("s", scenario.sellers), _ids("n", scenario.nodes), splits,
-            shards,
+            scenario=scenario, root=root, label=label, seller_ids=_ids("s", scenario.sellers),
+            shards=tuple(partition_shards(train, plan)), splits=splits,
+            node_ids=_ids("n", scenario.nodes), byz_nodes=byz_nodes, byz_sellers=byz_sellers,
+            spec=spec, utility_set=validation.head(rows) if rows else validation,
         )
 
     def initial_state(self) -> State:
@@ -292,7 +274,7 @@ def run_core(
 ) -> RunResult:
     """Run the training/consensus loop until the metric target or round cap.
 
-    Without a market the run is standalone (:meth:`Market.standalone`);
+    Without a market the run is standalone, on ``Market.build(scenario, "standalone")``;
     without a ledger it commits on a fresh one with the market's nodes
     registered.  Returns the adopted weights plus the per-seller access
     counts and per-node participation counts that drive revenue
@@ -301,7 +283,7 @@ def run_core(
     started = time.perf_counter()
     sink = sink if sink is not None else MetricsSink()
     if market is None:
-        market = Market.standalone(scenario)
+        market = Market.build(scenario, "standalone")
     elif market.scenario != scenario:
         raise ValueError("the market was built for another scenario")
     if ledger is None:
@@ -434,12 +416,11 @@ def run_auction_to_completion(
 ) -> PipelineResult:
     """Full pipeline: registration, auction, training consensus, payout."""
     sink = sink if sink is not None else MetricsSink()
-    # The dataset is built before the first ledger call, so a dataset that
-    # cannot be built leaves nothing registered or minted.
-    splits = build_splits(scenario)
-    shards = _seller_shards(scenario, splits)
-    ledger = scenario.ledger()
     request = scenario.data_request()
+    # The market is built before the first ledger call, so a dataset or a
+    # model that cannot be built leaves nothing registered or escrowed.
+    market = Market.build(scenario, "+".join(sorted(request.tags)))
+    ledger = scenario.ledger()
 
     buyer = ledger.register_user("buyer000", is_buyer=True)
     ledger.mint(buyer, request.amount + scenario.tx_fee)
@@ -449,11 +430,11 @@ def run_auction_to_completion(
         ledger.mint(rival, amount + scenario.tx_fee)
         rivals.append((rival, amount))
 
-    seller_ids = [ledger.register_user(sid, is_buyer=False) for sid in _ids("s", scenario.sellers)]
-    node_ids = _ids("n", scenario.nodes)
-    ledger.register_nodes(node_ids)
+    for sid in market.seller_ids:
+        ledger.register_user(sid, is_buyer=False)
+    ledger.register_nodes(market.node_ids)
     registry_tags = frozenset(scenario.data.registry_tags) or request.tags
-    for sid, shard in zip(seller_ids, shards):
+    for sid, shard in zip(market.seller_ids, market.shards):
         ledger.register_dataset(sid, registry_tags, len(shard))
 
     for rival, amount in rivals:
@@ -461,25 +442,16 @@ def run_auction_to_completion(
     ledger.start_auction(request, buyer)
     while ledger.height < ledger.auction_window:
         ledger.advance_block()
+    # every seller registered the same tags, so the auction matched all of them or none
     won_request, matched, settlement = ledger.close_auction(request.tags)
 
     if not matched:
         return PipelineResult(ledger)
 
     winner = ledger.settlements[settlement].highest_bidder
-    matched_ids = sorted(matched)
-    index_of = {sid: k for k, sid in enumerate(seller_ids)}
-    market = Market.build(
-        scenario,
-        "+".join(sorted(request.tags)),
-        matched_ids,
-        node_ids,
-        splits,
-        [shards[index_of[sid]] for sid in matched_ids],
-    )
     run = run_core(scenario, market=market, ledger=ledger, sink=sink)
 
-    contribs = {sid: int(run.access_counts[k]) for k, sid in enumerate(matched_ids)}
+    contribs = dict(zip(market.seller_ids, run.access_counts.tolist()))
     if sum(contribs.values()) == 0 or sum(run.participation.values()) == 0:
         ledger.refund_settlement(settlement)
         return PipelineResult(ledger, run, winner=winner)

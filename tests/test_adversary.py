@@ -192,7 +192,7 @@ class TestSellerStrategies:
     def test_train_config_sets_the_update(self):
         train = TrainConfig(epochs=1, lr=0.5, batch=8)
         adversary = AdversaryConfig(seller_fraction=1.0)
-        market = Market.standalone(quick_scenario(train=train, adversary=adversary))
+        market = Market.build(quick_scenario(train=train, adversary=adversary), "standalone")
         w = market.initial_state()[0]
         honest = local_update(
             w, gather_rows([market.shards[3]]), epochs=1, lr=0.5, batch=8, seed=self.seed

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datamarket import fedcore
 from datamarket.errors import (
     DimensionMismatch,
     EmptyCandidates,
@@ -20,7 +21,6 @@ from datamarket.fedcore import (
     omd_update,
     run_federated_round,
     sample_sellers,
-    update_access_counts,
     utility_estimates,
 )
 from datamarket.rng import derive_seed, rng_from
@@ -44,54 +44,63 @@ class TestSampleSellers:
         assert np.all(np.abs(counts - 250_000) < 3 * sigma)
 
 
+def round_access_counts(monkeypatch, counts, sample):
+    """The access counts a round leaves after it draws sample."""
+    monkeypatch.setattr(fedcore, "sample_sellers", lambda p, k, seed: np.asarray(sample))
+    n, seed = len(counts), derive_seed("counts")
+    params = OsmdConfig(batch_size=len(sample), learning_rate=0.0)
+    oracle = _StubOracle({i: np.zeros(1) for i in range(n)}, seed)
+    out = run_federated_round(np.zeros(1), np.full(n, 1 / n), counts, params, seed, oracle)
+    return out.access_counts
+
+
 class TestAccessCounts:
-    def test_adds_multiplicities(self):
-        out = update_access_counts(np.array([0, 0]), np.array([0, 0, 1]))
+    def test_adds_multiplicities(self, monkeypatch):
+        out = round_access_counts(monkeypatch, np.array([0, 0]), np.array([0, 0, 1]))
         assert list(out) == [2, 1]
 
-    def test_unsampled_untouched(self):
-        out = update_access_counts(np.array([5, 7, 9]), np.array([1]))
+    def test_unsampled_untouched(self, monkeypatch):
+        out = round_access_counts(monkeypatch, np.array([5, 7, 9]), np.array([1]))
         assert list(out) == [5, 8, 9]
 
-    def test_increment_sums_to_batch(self):
+    def test_increment_sums_to_batch(self, monkeypatch):
         rng = rng_from(derive_seed("counts"))
         for _ in range(100):
             n, k = int(rng.integers(2, 20)), int(rng.integers(1, 50))
             before = rng.integers(0, 10, size=n)
             sample = rng.integers(0, n, size=k)
-            after = update_access_counts(before, sample)
+            after = round_access_counts(monkeypatch, before, sample)
             assert (after - before).sum() == k
             assert np.all(after >= before)
 
 
 class TestUtilityEstimates:
     def test_unsampled_is_zero(self):
-        u = utility_estimates(np.array([1]), np.array([0.5, 0.5]), 1, {1: -0.3})
+        u = utility_estimates(np.array([0, 1]), np.array([0.5, 0.5]), 1, np.array([-0.3]))
         assert u[0] == 0.0
 
     def test_importance_weighting(self):
         # two hits out of four draws at probability 1/4 doubles the delta
         u = utility_estimates(
-            np.array([1, 1, 0, 2]), np.full(4, 0.25), 4, {0: 0.0, 1: -0.1, 2: 0.0}
+            np.array([1, 2, 1, 0]), np.full(4, 0.25), 4, np.array([0.0, -0.1, 0.0])
         )
         assert u[1] == pytest.approx((2 / (4 * 0.25)) * -0.1) == pytest.approx(-0.2)
 
     def test_zero_probability_sampled(self):
         with pytest.raises(ZeroProbabilitySampled):
-            utility_estimates(np.array([0]), np.array([0.0, 1.0]), 1, {0: 1.0})
+            utility_estimates(np.array([1, 0]), np.array([0.0, 1.0]), 1, np.array([1.0]))
 
     def test_unbiased_over_resamples(self):
         p = np.array([0.5, 0.3, 0.2])
-        delta = {0: -0.2, 1: 0.4, 2: -0.7}
+        delta = np.array([-0.2, 0.4, -0.7])
         total = np.zeros(3)
         draws = 20_000
         root = derive_seed("unbiased")
         for i in range(draws):
-            sample = sample_sellers(p, 8, derive_seed(root, i))
-            total += utility_estimates(sample, p, 8, delta)
+            multiplicity = np.bincount(sample_sellers(p, 8, derive_seed(root, i)), minlength=3)
+            total += utility_estimates(multiplicity, p, 8, delta[multiplicity > 0])
         mean = total / draws
-        expected = np.array([-0.2, 0.4, -0.7])
-        assert np.all(np.abs(mean - expected) / np.abs(expected) < 0.05)
+        assert np.all(np.abs(mean - delta) / np.abs(delta) < 0.05)
 
 
 class TestOmdUpdate:

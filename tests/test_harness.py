@@ -133,7 +133,7 @@ class TestHonestRound:
         accepted = [r["accepted_digest"] for r in run_core(scenario).records]
         assert len(accepted) == scenario.t_max
 
-        market = Market.standalone(scenario)
+        market = Market.build(scenario, "standalone")
         assert market.byz_sellers.any() and not market.byz_nodes.any()
         state = market.initial_state()
         inputs = []
@@ -143,24 +143,15 @@ class TestHonestRound:
             assert digest.hex() == accepted[t]
 
         # another executor, handed only the state, recomputes each round in any order
-        other = Market.standalone(scenario)
+        other = Market.build(scenario, "standalone")
         for t in reversed(range(scenario.t_max)):
             _, digest, _ = honest_round(other, pickle.loads(inputs[t]), t)
             assert digest.hex() == accepted[t]
 
     def test_market_of_another_scenario_rejected(self):
-        market = Market.standalone(quick_scenario())
+        market = Market.build(quick_scenario(), "standalone")
         with pytest.raises(ValueError):
             run_core(quick_scenario(seed=12), market=market)
-
-    def test_node_table_of_another_size_rejected(self):
-        scenario = quick_scenario()
-        market = Market.standalone(scenario)
-        with pytest.raises(ValueError, match="20 nodes, not 19"):
-            Market.build(
-                scenario, market.label, market.seller_ids, market.node_ids[:-1], market.splits,
-                market.shards,
-            )
 
 
 def scored_once_scenario(hidden: int, ablation: str, utility_rows: int = 0) -> Scenario:
@@ -213,7 +204,7 @@ class TestScoredOnce:
         assert len(rows) > scenario.t_max and len(set(rows)) == len(rows)
 
     def test_market_remembers_only_its_last_stack(self, monkeypatch):
-        market = Market.standalone(quick_scenario(hidden_units=8))
+        market = Market.build(quick_scenario(hidden_units=8), "standalone")
         scored = []
 
         def spy(spec, stack, eval_set):
@@ -231,7 +222,7 @@ class TestScoredOnce:
         assert scored == [[a.tolist(), b.tolist()], [c.tolist()], [a.tolist(), c.tolist()]]
 
     def test_row_matched_bit_for_bit(self, monkeypatch):
-        market = Market.standalone(quick_scenario())
+        market = Market.build(quick_scenario(), "standalone")
         scored = []
 
         def spy(spec, stack, eval_set):
@@ -249,7 +240,7 @@ class TestScoredOnce:
         assert len(scored) == 2
 
     def test_stack_is_checked_before_the_memo(self):
-        market = Market.standalone(quick_scenario())
+        market = Market.build(quick_scenario(), "standalone")
         market.utility(np.zeros((1, market.spec.param_count)))
         for bad in (np.zeros((0, market.spec.param_count)), np.zeros(market.spec.param_count)):
             with pytest.raises(DimensionMismatch):
@@ -284,7 +275,7 @@ def seated_run(strategy: str, ablation: str = "none"):
     base = robustness_scenario(2, 0.3, 0.0, t_max=8)
     adversary = replace(base.adversary, node_strategy=strategy)
     scenario = replace(base, ablation=ablation, adversary=adversary)
-    market = Market.standalone(scenario)
+    market = Market.build(scenario, "standalone")
     ledger = scenario.ledger()
     ledger.register_nodes(market.node_ids)
     return market, ledger, run_core(scenario, market=market, ledger=ledger)
@@ -458,7 +449,7 @@ class TestStackedTraining:
             data=replace(base.data, partition_alpha=0.05),
             adversary=AdversaryConfig(seller_fraction=0.5, seller_strategy=strategy),
         )
-        market = Market.standalone(scenario)
+        market = Market.build(scenario, "standalone")
         byzantine = np.flatnonzero(market.byz_sellers).tolist()
         empty = [i for i in byzantine if not len(market.shards[i])]
         values = market.initial_state()[0].values
@@ -467,21 +458,42 @@ class TestStackedTraining:
         assert not deltas.any() and not np.signbit(deltas).any()  # no transform's -0.0
 
 
+def pipeline_market(monkeypatch, scenario: Scenario):
+    """The pipeline's result on the scenario, and the market its run trained on."""
+    markets = []
+
+    def capture(scenario, *, market, **kwargs):
+        markets.append(market)
+        return run_core(scenario, market=market, **kwargs)
+
+    monkeypatch.setattr(harness, "run_core", capture)
+    result = run_auction_to_completion(scenario)
+    (market,) = markets
+    return result, market
+
+
 class TestPipeline:
     def test_one_node_table_registered_run_and_paid(self, monkeypatch):
-        markets = []
-
-        def capture(scenario, *, market, **kwargs):
-            markets.append(market)
-            return run_core(scenario, market=market, **kwargs)
-
-        monkeypatch.setattr(harness, "run_core", capture)
-        result = run_auction_to_completion(quick_scenario(t_max=2))
-        node_ids = markets[0].node_ids
+        result, market = pipeline_market(monkeypatch, quick_scenario(t_max=2))
+        node_ids = market.node_ids
         registered = [e["node_ids"] for e in result.ledger.tx_log if e["op"] == "register_nodes"]
         assert registered == [list(node_ids)]
         assert list(result.run.participation) == list(node_ids)
         assert list(result.revenue.node_transfers) == list(node_ids)
+
+    def test_market_is_every_registered_seller_in_table_order(self, monkeypatch):
+        # from 1000 sellers on, id order (s100, s1000, s101, ...) is not table order
+        scenario = quick_scenario(sellers=1001, t_max=1)
+        result, market = pipeline_market(monkeypatch, scenario)
+        log = result.ledger.tx_log
+        sellers = [e["user_id"] for e in log if e["op"] == "register_user" and not e["is_buyer"]]
+        assert len(sellers) == scenario.sellers and sellers[1000] == "s1000"
+        assert list(market.seller_ids) == sellers
+        assert [(e["seller"], e["size"]) for e in log if e["op"] == "register_dataset"] == [
+            (sid, len(shard)) for sid, shard in zip(market.seller_ids, market.shards)
+        ]
+        assert list(result.run.seller_ids) == sellers
+        assert list(result.revenue.seller_transfers) == sellers
 
     def test_competing_bids_and_split(self):
         scenario = quick_scenario(competing_bids=(100,))
@@ -742,10 +754,21 @@ class TestBuildSplits:
         splits = build_splits(scenario)
         assert len(splits.train) == 32 and len(splits.validation) == 4 and len(splits.test) == 4
 
-    @pytest.mark.parametrize("count", [8, 9])
-    def test_idx_pair_under_ten_images_refused_before_the_ledger(self, tmp_path, monkeypatch, count):
-        # validation and test would be empty: the run would escrow the bid and then fail
-        img, lbl = write_idx_pair(tmp_path, np.zeros((count, 2, 2)), np.arange(count) % 2)
+    @pytest.mark.parametrize(
+        "shape, classes, refusal",
+        [
+            ((8, 2, 2), 2, EmptyEvalSet),  # validation and test would be empty
+            ((9, 2, 2), 2, EmptyEvalSet),
+            ((40, 2, 2), 1, ValueError),  # a model needs two classes
+            ((40, 2, 0), 2, ValueError),  # and at least one input
+        ],
+        ids=["8", "9", "one-class", "zero-wide"],
+    )
+    def test_idx_pair_under_ten_images_refused_before_the_ledger(
+        self, tmp_path, monkeypatch, shape, classes, refusal
+    ):
+        # a refusal after the first ledger call would leave the bid escrowed
+        img, lbl = write_idx_pair(tmp_path, np.zeros(shape), np.arange(shape[0]) % classes)
         scenario = quick_scenario(data=DataConfig(kind="idx", images=img, labels=lbl))
         ledgers = []
         make_ledger = Scenario.ledger
@@ -755,7 +778,7 @@ class TestBuildSplits:
             return ledgers[-1]
 
         monkeypatch.setattr(Scenario, "ledger", ledger)
-        with pytest.raises(EmptyEvalSet):
+        with pytest.raises(refusal):
             run_auction_to_completion(scenario)
         assert ledgers == []
 
@@ -786,7 +809,7 @@ class TestShardRows:
         plan = dirichlet_partition(
             train, scenario.sellers, data.partition_alpha, derive_seed(scenario.root_seed, "partition")
         )
-        market = Market.standalone(scenario)
+        market = Market.build(scenario, "standalone")
         trained = []
 
         def spy(w, pool, sizes, seeds, **kwargs):
@@ -815,8 +838,8 @@ class TestShardRows:
         # of the train rows read 1.88 and 2.10
         data = DataConfig(rows=20_000, classes=10, dims=32, separation=3.0)
         scenario = quick_scenario(sellers=200, data=data)
-        Market.standalone(quick_scenario())  # first calls allocate caches of their own
-        held, peak = traced_memory(lambda: Market.standalone(scenario))
+        Market.build(quick_scenario(), "standalone")  # first calls allocate caches of their own
+        held, peak = traced_memory(lambda: Market.build(scenario, "standalone"))
         feature_bytes = 20_000 * 32 * 8
         assert held < 1.5 * feature_bytes and peak < 1.6 * feature_bytes
 
@@ -849,6 +872,16 @@ class TestCli:
         for line in (out / "events.jsonl").read_text().splitlines():
             json.loads(line)
 
+    def test_refused_run_prints_one_line_and_writes_nothing(self, tmp_path, capsys):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((40, 2, 2)), np.zeros(40))
+        scenario = quick_scenario(data=DataConfig(kind="idx", images=img, labels=lbl))
+        config = tmp_path / "scenario.cfg"
+        config.write_text(format_config(scenario))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "ValueError: invalid model dimensions\n"
+        assert not out.exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         config = self.write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -856,7 +889,7 @@ class TestCli:
         cli_main(["run", "--config", str(config), "--out", str(out_b), "--seed", "77"])
         assert (out_a / "rounds.csv").read_text() != (out_b / "rounds.csv").read_text()
 
-    def test_grid_subcommand(self, tmp_path):
+    def test_grid_subcommand(self, tmp_path, capsys):
         config = tmp_path / "grid.cfg"
         config.write_text(
             format_config(
@@ -872,8 +905,8 @@ class TestCli:
         )
         timings = (out / "grid_timings.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in timings[1:]] == labels
-        with pytest.raises(ValueError, match="unknown ablation"):
-            cli_main(args + ["--ablations", "none,everything-off"])
+        assert cli_main(args + ["--ablations", "none,everything-off"]) == 1
+        assert capsys.readouterr().err.startswith("ValueError: unknown ablation")
 
     def test_analyze_subcommand(self, tmp_path, capsys):
         out_file = tmp_path / "payoff.json"
