@@ -190,11 +190,12 @@ class SellerOracle(Protocol):
         seller's own seed, ``derive_seed(round_seed, "seller", sellers[j])``.
         """
 
-    def utility(self, stack: np.ndarray) -> np.ndarray:
-        """Utility of each row of a (k, param_count) weight stack; lower is better.
+    def utility(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Loss and accuracy of each row of a (k, param_count) weight stack; lower loss is better.
 
-        A round calls this once, with the base weights in row 0 and the
-        candidates after them, so one pass can score them all.
+        A round calls this once, so one pass scores all its rows: the base
+        weights first when their score is not known yet, then the
+        candidates, then the mean aggregator's blend if there is one.
         """
 
 
@@ -207,6 +208,7 @@ class FederatedRoundResult:
     access_counts: np.ndarray
     sampled: tuple[int, ...]
     chosen_seller: int
+    score: tuple[float, float]  # the new values' (loss, accuracy)
 
 
 def run_federated_round(
@@ -217,14 +219,16 @@ def run_federated_round(
     seed: bytes,
     oracle: SellerOracle,
     aggregator: str = "corrected-krum",
+    base: tuple[float, float] | None = None,
 ) -> FederatedRoundResult:
     """Execute one full round: sample, estimate, reweight, aggregate.
 
     Deterministic in (inputs, seed); every honest executor given the same
     arguments produces a bit-identical result.  Each distinct sampled
     seller contributes one candidate row, in seller-index order.  The
-    sellers train in one oracle call, and the base weights and all
-    candidates are scored in another.
+    sellers train in one oracle call, and the rows are scored in another:
+    the base weights unless ``base`` gives their (loss, accuracy), all
+    candidates, and the mean aggregator's blend.
     """
     values = np.asarray(values, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -237,18 +241,23 @@ def run_federated_round(
     deltas = oracle.local_deltas(sampled_sellers, values, seller_seeds)
 
     candidates = values + params.step_size * deltas
-    scores = oracle.utility(np.vstack([values, candidates]))
-    u_hat = utility_estimates(multiplicity, p, k, scores[1:] - scores[0])
-    new_p = omd_update(p, u_hat, params.learning_rate, params.floor_fraction)
-
     if aggregator == "corrected-krum":
         chosen = corrected_krum_index(candidates)
         new_values = candidates[chosen]
+        rows = [candidates]
     elif aggregator == "mean":
-        chosen = -1  # blend, not a member
+        chosen = -1  # blend, not a member: the last row scored
         new_values = mean_aggregate(candidates)
+        rows = [candidates, new_values[None]]
     else:
         raise ValueError(f"unknown aggregator {aggregator!r}")
+    if base is None:
+        rows.insert(0, values[None])
+    losses, accuracies = oracle.utility(np.vstack(rows))
+    if base is None:
+        base, losses, accuracies = (losses[0], accuracies[0]), losses[1:], accuracies[1:]
+    u_hat = utility_estimates(multiplicity, p, k, losses[: len(candidates)] - base[0])
+    new_p = omd_update(p, u_hat, params.learning_rate, params.floor_fraction)
 
     return FederatedRoundResult(
         values=new_values,
@@ -256,4 +265,5 @@ def run_federated_round(
         access_counts=counts + multiplicity,
         sampled=tuple(int(i) for i in sample),
         chosen_seller=sampled_sellers[chosen] if chosen >= 0 else -1,
+        score=(float(losses[chosen]), float(accuracies[chosen])),
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -39,7 +39,6 @@ from .training import (
     ModelWeights,
     RowSet,
     State,
-    as_stack,
     dirichlet_partition,
     evaluate_metric,
     gather_rows,
@@ -119,15 +118,8 @@ class Market:
     the sellers it trains.  ``node_ids`` is the run's one node table, the ids
     the ledger registers; committees index it, and ``byz_nodes`` and
     ``byz_sellers`` mask it and the sellers.  The market is also the rounds'
-    :class:`fedcore.SellerOracle`.
-
-    Besides these constants, the market remembers the last stack it scored
-    and each row's loss and accuracy on the utility set, and finds a row in
-    it by its bits.  A round's base row is normally the previous round's
-    adopted candidate, so it is not scored again; when the utility set is the
-    validation split, the adopted candidate's validation accuracy comes
-    from the same pass.  A remembered score is the score the row would get
-    afresh, since a row's scores do not depend on the rest of its stack.
+    :class:`fedcore.SellerOracle`.  Nothing is assigned to it after it is
+    built, so a run leaves it as it was.
     """
 
     scenario: Scenario
@@ -141,8 +133,6 @@ class Market:
     byz_sellers: np.ndarray
     spec: ModelSpec
     utility_set: LabeledDataset
-    # the last stack scored, as its rows' bits, with each row's loss and accuracy
-    _last: list = field(default_factory=list, init=False, repr=False)
 
     @classmethod
     def build(cls, scenario: Scenario, label: str) -> Market:
@@ -205,61 +195,48 @@ class Market:
             deltas[j] = adv.malicious_seller_update(adversary, deltas[j], seeds[j])
         return deltas
 
-    def utility(self, stack: np.ndarray) -> np.ndarray:
-        """Each row's loss on the utility set; a row 0 in the last stack scored is not rescored.
+    def utility(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's loss and accuracy on the utility set, from one pass."""
+        return utility(self.spec, stack, self.utility_set)
 
-        The other rows are scored in one pass, and this stack and its scores
-        then replace the remembered ones.
-        """
-        stack = as_stack(self.spec, stack)
-        base = self._remembered(stack[0])
-        fresh = 0 if base is None else 1
-        losses, accuracies = np.empty(len(stack)), np.empty(len(stack))
-        if base is not None:
-            losses[0], accuracies[0] = self._last[1][base], self._last[2][base]
-        if fresh < len(stack):
-            losses[fresh:], accuracies[fresh:] = utility(self.spec, stack[fresh:], self.utility_set)
-        self._last[:] = stack.view(np.int64).copy(), losses, accuracies
-        return losses.copy()
+    def validation_accuracy(
+        self, weights: ModelWeights, score: tuple[float, float] | None
+    ) -> tuple[float, tuple[float, float] | None]:
+        """Accuracy of the weights on the validation split, and their score on the utility set.
 
-    def validation_accuracy(self, weights: ModelWeights) -> float:
-        """Accuracy of the weights on the validation split.
-
-        When the utility set is the validation split, it is read from the
-        last stack scored; weights not in it are scored as a stack of their
-        own, which the next round's base row then finds.
+        ``score`` is the weights' (loss, accuracy) on the utility set, or
+        None when no round has scored them.  When the utility set is the
+        validation split, the accuracy is the score's, and weights without
+        one are scored alone; otherwise evaluate_metric gives the accuracy.
         """
         if self.utility_set is not self.splits.validation:
-            return evaluate_metric(weights, self.splits.validation)
-        row = self._remembered(weights.values)
-        if row is None:
-            self.utility(weights.values[None])
-            row = 0
-        return float(self._last[2][row])
-
-    def _remembered(self, values: np.ndarray) -> int | None:
-        """Index of the first row of the last stack scored with the same bits as values."""
-        if not self._last:
-            return None
-        matches = (self._last[0] == np.asarray(values, dtype=np.float64).view(np.int64)).all(axis=1)
-        return int(matches.argmax()) if matches.any() else None
+            return evaluate_metric(weights, self.splits.validation), score
+        if score is None:
+            losses, accuracies = self.utility(weights.values[None])
+            score = float(losses[0]), float(accuracies[0])
+        return score[1], score
 
     def forgery_seed(self, t: int) -> bytes:
         """Seed of the state Byzantine executors forge in round t."""
         return derive_seed(self.root, "byz", self.label, t)
 
 
-def honest_round(market: Market, state: State, t: int) -> tuple[State, bytes, FederatedRoundResult]:
+def honest_round(
+    market: Market, state: State, t: int, base: tuple[float, float] | None = None
+) -> tuple[State, bytes, FederatedRoundResult]:
     """Round t's honest work on state: the next state, its digest and the round's result.
 
     A pure function of its arguments, so every honest executor that holds
-    the market and the state computes the same digest.
+    the market and the state computes the same digest.  ``base`` is the
+    state's weights' (loss, accuracy) on the utility set when a round has
+    already scored them; the result is the same with or without it.
     """
     weights, p, counts = state
     scenario = market.scenario
     fed = run_federated_round(
         weights.values, p, counts, scenario.osmd, derive_seed(market.root, "fed", market.label, t),
         market, aggregator="mean" if scenario.ablation == "no-krum" else "corrected-krum",
+        base=base,
     )
     new_state = (weights.with_values(fed.values), fed.probabilities, fed.access_counts)
     return new_state, state_digest(*new_state), fed
@@ -298,10 +275,11 @@ def run_core(
     state = market.initial_state()
     # Validation accuracy of the current weights: the stopping test, the
     # round's record and the final figure all read this one evaluation.
-    val_acc = market.validation_accuracy(state[0])
+    # Their score on the utility set, once known, is the next round's base.
+    val_acc, score = market.validation_accuracy(state[0], None)
     t = 0
     while t < scenario.t_max and val_acc < tau:
-        honest_state, honest_digest, fed = honest_round(market, state, t)
+        honest_state, honest_digest, fed = honest_round(market, state, t, score)
         honest = (honest_state, honest_digest)
         if scenario.ablation == "no-consensus":
             adopted, mini_rounds = _single_executor_round(market, t, participation, honest, prev)
@@ -313,12 +291,16 @@ def run_core(
         state, digest = adopted
         if state_digest(*state) != digest:
             raise NoConsensus("adopted state does not match the accepted digest")
-        if digest != honest_digest:
+        if digest == honest_digest:
+            score = fed.score
+        else:
             wrong_adoptions += 1
+            if prev is None or digest != prev[1]:  # a forged state, which no round scored
+                score = None
         prev = adopted
 
         weights, p, access_counts = state
-        val_acc = market.validation_accuracy(weights)
+        val_acc, score = market.validation_accuracy(weights, score)
         record = dict(
             round=t,
             mini_rounds=mini_rounds,

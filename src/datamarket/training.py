@@ -450,16 +450,6 @@ def _run_losses(
     return scores
 
 
-def as_stack(spec: ModelSpec, stack: np.ndarray) -> np.ndarray:
-    """The stack as a float array, refused unless it is a non-empty (k, param_count) matrix."""
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 2 or not len(stack) or stack.shape[1] != spec.param_count:
-        raise DimensionMismatch(
-            f"expected a (k, {spec.param_count}) weight stack, got {stack.shape}"
-        )
-    return stack
-
-
 def utility(
     spec: ModelSpec, stack: np.ndarray, eval_set: LabeledDataset
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +464,12 @@ def utility(
     """
     if len(eval_set) == 0:
         raise EmptyEvalSet("empty evaluation set")
-    layers = _layers(as_stack(spec, stack), spec.layer_dims)
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 2 or not len(stack) or stack.shape[1] != spec.param_count:
+        raise DimensionMismatch(
+            f"expected a (k, {spec.param_count}) weight stack, got {stack.shape}"
+        )
+    layers = _layers(stack, spec.layer_dims)
     run_losses = partial(_run_losses, layers, eval_set.features, eval_set.labels)
     total = np.zeros(len(stack))
     correct = np.zeros(len(stack), dtype=np.int64)

@@ -238,7 +238,8 @@ class _StubOracle:
 
     def utility(self, stack):
         self.scored.append(np.array(stack))
-        return np.linalg.norm(stack, axis=1)
+        norms = np.linalg.norm(stack, axis=1)
+        return norms, norms
 
 
 class TestFederatedRound:
@@ -320,20 +321,25 @@ class TestFederatedRound:
 
     def test_scores_base_and_candidates_in_one_call(self):
         deltas = {i: np.full(2, float(i)) for i in range(5)}
-        oracle = _StubOracle(deltas, derive_seed("once"))
         values = np.array([0.5, -1.0])
-        out = run_federated_round(
-            values,
-            np.full(5, 0.2),
-            np.zeros(5, dtype=np.int64),
-            self.PARAMS,
-            derive_seed("once"),
-            oracle,
-        )
-        assert len(oracle.scored) == 1
-        sellers = sorted(set(out.sampled))
-        expected = np.stack([values] + [values + deltas[i] for i in sellers])
-        assert np.array_equal(oracle.scored[0], expected)
+        args = (values, np.full(5, 0.2), np.zeros(5, dtype=np.int64), self.PARAMS, derive_seed("once"))
+        norm = float(np.linalg.norm(values))
+        for aggregator in ("corrected-krum", "mean"):
+            oracle = _StubOracle(deltas, derive_seed("once"))
+            out = run_federated_round(*args, oracle, aggregator=aggregator)
+            # with the base row's score given, only the other rows are scored, to the same result
+            rescored = run_federated_round(*args, oracle, aggregator=aggregator, base=(norm, norm))
+            rows = [values + deltas[i] for i in sorted(set(out.sampled))]
+            if aggregator == "mean":
+                assert np.array_equal(out.values, np.mean(rows, axis=0))
+                rows.append(out.values)  # the blend, scored after the candidates
+            assert len(oracle.scored) == 2
+            assert np.array_equal(oracle.scored[0], np.stack([values, *rows]))
+            assert np.array_equal(oracle.scored[1], np.stack(rows))
+            assert out.score == rescored.score == (float(np.linalg.norm(out.values)),) * 2
+            assert out.chosen_seller == rescored.chosen_seller
+            assert np.array_equal(out.values, rescored.values)
+            assert np.array_equal(out.probabilities, rescored.probabilities)
 
     @pytest.mark.parametrize(
         "field, value", [("batch_size", 0), ("step_size", 0.0), ("step_size", -1.0)]

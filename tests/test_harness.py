@@ -135,12 +135,15 @@ class TestHonestRound:
 
         market = Market.build(scenario, "standalone")
         assert market.byz_sellers.any() and not market.byz_nodes.any()
-        state = market.initial_state()
+        state, score = market.initial_state(), None
         inputs = []
         for t in range(scenario.t_max):
             inputs.append(pickle.dumps(state))
-            state, digest, _ = honest_round(market, state, t)
-            assert digest.hex() == accepted[t]
+            # the previous round's score of these weights, handed on, changes no digest
+            _, unscored, _ = honest_round(market, state, t)
+            state, digest, fed = honest_round(market, state, t, score)
+            assert digest == unscored and digest.hex() == accepted[t]
+            score = fed.score
 
         # another executor, handed only the state, recomputes each round in any order
         other = Market.build(scenario, "standalone")
@@ -148,37 +151,70 @@ class TestHonestRound:
             _, digest, _ = honest_round(other, pickle.loads(inputs[t]), t)
             assert digest.hex() == accepted[t]
 
+    def test_run_leaves_the_market_as_built(self):
+        scenario = scored_once_scenario(8, "no-consensus")
+        market = Market.build(scenario, "standalone")
+        built = pickle.dumps(market)
+        run_core(scenario, market=market)
+        assert pickle.dumps(market) == built
+
     def test_market_of_another_scenario_rejected(self):
         market = Market.build(quick_scenario(), "standalone")
         with pytest.raises(ValueError):
             run_core(quick_scenario(seed=12), market=market)
 
 
-def scored_once_scenario(hidden: int, ablation: str, utility_rows: int = 0) -> Scenario:
+def scored_once_scenario(
+    hidden: int, ablation: str, utility_rows: int = 0, node_strategy: str = "colluding-common-digest"
+) -> Scenario:
     """30% Byzantine nodes and 20% Byzantine sellers, linear or MLP, under one ablation."""
     base = robustness_scenario(5, 0.3, 0.2, t_max=6, hidden_units=hidden, ablation=ablation)
-    return replace(base, data=replace(base.data, utility_eval_rows=utility_rows))
+    return replace(
+        base,
+        data=replace(base.data, utility_eval_rows=utility_rows),
+        adversary=replace(base.adversary, node_strategy=node_strategy),
+    )
+
+
+def scored_once_case(
+    hidden: int, ablation: str, utility_rows: int, node_strategy: str = "colluding-common-digest"
+):
+    """One input, named ``hidden-ablation-rows``, then its node strategy unless the default."""
+    name = f"{hidden}-{ablation}-{utility_rows}"
+    if node_strategy != "colluding-common-digest":
+        name += f"-{node_strategy}"
+    return pytest.param(hidden, ablation, utility_rows, node_strategy, id=name)
 
 
 SCORED_ONCE_CASES = [
-    *[(hidden, ablation, 0) for hidden in (0, 8) for ablation in ("none", "no-krum", "no-consensus")],
-    (0, "none", 100),  # a utility set that is not the validation split
-    (8, "no-consensus", 100),
+    *[
+        scored_once_case(hidden, ablation, 0)
+        for hidden in (0, 8)
+        for ablation in ("none", "no-krum", "no-consensus")
+    ],
+    scored_once_case(0, "none", 100),  # a utility set that is not the validation split
+    scored_once_case(8, "no-consensus", 100),
+    # the previous round's state adopted again, so its score carries over
+    *[scored_once_case(0, "no-consensus", rows, "stale-digest") for rows in (0, 100)],
 ]
+SCORED_ONCE_PARAMS = "hidden, ablation, utility_rows, node_strategy"
 
 
 class TestScoredOnce:
-    """Each model runs forward once per round; a remembered score is the fresh one."""
+    """Each model runs forward once per round; a score carried forward is the fresh one."""
 
-    @pytest.mark.parametrize("hidden, ablation, utility_rows", SCORED_ONCE_CASES)
-    def test_recorded_accuracy_is_the_adopted_weights(self, monkeypatch, hidden, ablation, utility_rows):
-        scenario = scored_once_scenario(hidden, ablation, utility_rows)
+    @pytest.mark.parametrize(SCORED_ONCE_PARAMS, SCORED_ONCE_CASES)
+    def test_recorded_accuracy_is_the_adopted_weights(
+        self, monkeypatch, hidden, ablation, utility_rows, node_strategy
+    ):
+        scenario = scored_once_scenario(hidden, ablation, utility_rows, node_strategy)
         reads = []
         original = Market.validation_accuracy
 
-        def spy(market, weights):
-            reads.append((market, weights, original(market, weights)))
-            return reads[-1][2]
+        def spy(market, weights, score):
+            accuracy, score = original(market, weights, score)
+            reads.append((market, weights, accuracy))
+            return accuracy, score
 
         monkeypatch.setattr(Market, "validation_accuracy", spy)
         result = run_core(scenario)
@@ -190,8 +226,10 @@ class TestScoredOnce:
             assert state_digest(*state).hex() == record["accepted_digest"]
             assert record["accuracy"] == accuracy == evaluate_metric(weights, market.splits.validation)
 
-    @pytest.mark.parametrize("hidden, ablation, utility_rows", SCORED_ONCE_CASES)
-    def test_no_row_is_scored_twice(self, monkeypatch, hidden, ablation, utility_rows):
+    @pytest.mark.parametrize(SCORED_ONCE_PARAMS, SCORED_ONCE_CASES)
+    def test_no_row_is_scored_twice(
+        self, monkeypatch, hidden, ablation, utility_rows, node_strategy
+    ):
         rows = []
 
         def spy(spec, stack, eval_set):
@@ -199,52 +237,9 @@ class TestScoredOnce:
             return utility(spec, stack, eval_set)
 
         monkeypatch.setattr(harness, "utility", spy)
-        scenario = scored_once_scenario(hidden, ablation, utility_rows)
+        scenario = scored_once_scenario(hidden, ablation, utility_rows, node_strategy)
         assert len(run_core(scenario).records) == scenario.t_max
         assert len(rows) > scenario.t_max and len(set(rows)) == len(rows)
-
-    def test_market_remembers_only_its_last_stack(self, monkeypatch):
-        market = Market.build(quick_scenario(hidden_units=8), "standalone")
-        scored = []
-
-        def spy(spec, stack, eval_set):
-            scored.append(stack.tolist())
-            return utility(spec, stack, eval_set)
-
-        monkeypatch.setattr(harness, "utility", spy)
-        a, b, c = rng_from(derive_seed("memo")).normal(size=(3, market.spec.param_count))
-        first = market.utility(np.stack([a, b]))
-        assert np.array_equal(first, utility(market.spec, np.stack([a, b]), market.utility_set)[0])
-        second = market.utility(np.stack([b, c]))  # the base row b is remembered
-        assert second[0] == first[1]
-        assert market.utility(c[None])[0] == second[1]  # a lone remembered row is not scored
-        market.utility(np.stack([a, c]))  # a was forgotten when [b, c] was scored
-        assert scored == [[a.tolist(), b.tolist()], [c.tolist()], [a.tolist(), c.tolist()]]
-
-    def test_row_matched_bit_for_bit(self, monkeypatch):
-        market = Market.build(quick_scenario(), "standalone")
-        scored = []
-
-        def spy(spec, stack, eval_set):
-            scored.append(stack.tolist())
-            return utility(spec, stack, eval_set)
-
-        monkeypatch.setattr(harness, "utility", spy)
-        zero = np.zeros(market.spec.param_count)
-        market.utility(zero[None])
-        market.utility(-zero[None])  # equal to zero, yet not the same bits
-        assert len(scored) == 2
-        assert market.validation_accuracy(ModelWeights(-zero, market.spec)) == evaluate_metric(
-            ModelWeights(zero, market.spec), market.splits.validation
-        )
-        assert len(scored) == 2
-
-    def test_stack_is_checked_before_the_memo(self):
-        market = Market.build(quick_scenario(), "standalone")
-        market.utility(np.zeros((1, market.spec.param_count)))
-        for bad in (np.zeros((0, market.spec.param_count)), np.zeros(market.spec.param_count)):
-            with pytest.raises(DimensionMismatch):
-                market.utility(bad)
 
 
 class TestAllByzantineCommittee:

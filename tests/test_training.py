@@ -367,6 +367,8 @@ class TestUtility:
             utility(spec, np.zeros((2, spec.param_count + 1)), small_dataset())
         with pytest.raises(DimensionMismatch):
             utility(spec, np.zeros((0, spec.param_count)), small_dataset())
+        with pytest.raises(DimensionMismatch):
+            utility(spec, np.zeros(spec.param_count), small_dataset())
 
 
 class TestStateDigest:
